@@ -16,6 +16,10 @@ Sign conventions:
   shank contributions with the opposite sign, so a classic three-point
   force system (two side pushes plus an opposing center push) corrects
   rather than cancels.
+
+The simulation is columnar: :class:`SimulationTrace` holds one array per
+quantity over all steps, and loss, force and moment are array math through
+the same functions the scalar callers use.
 """
 
 from __future__ import annotations
@@ -23,8 +27,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
+import numpy as np
+
+from .geometry import reject
 from .loss import ActuatorSpec, predicted_force
+from .svgchart import format_each
 
 
 class Site(Enum):
@@ -79,24 +88,22 @@ class BraceLayout:
         return {a.actuator_id: a for a in self.actuators}
 
 
-def corrective_moment(
-    layout: BraceLayout, forces_n: dict[str, float]
-) -> tuple[float, float]:
+def corrective_moment(layout: BraceLayout, forces_n: dict) -> tuple:
     """Net medio-lateral force (N) and corrective moment (N*m) about the knee.
 
-    ``forces_n`` maps actuator id to force magnitude; inactive actuators
-    must be present with 0.
+    ``forces_n`` maps actuator id to force magnitude, a float or an array
+    over time steps; inactive actuators must be present with 0. The sums
+    run in layout order from 0.0, so floats and arrays add up alike.
     """
-    placements = layout.by_id()
-    missing = set(placements) - set(forces_n)
+    missing = set(layout.by_id()) - set(forces_n)
     if missing:
         raise ScheduleError(f"forces missing for actuators: {sorted(missing)}")
     net = 0.0
     moment = 0.0
-    for actuator_id, placement in placements.items():
-        f = forces_n[actuator_id]
-        if f < 0.0:
-            raise ValueError(f"force magnitudes must be >= 0, got {f} for {actuator_id!r}")
+    for placement in layout.actuators:
+        aid = placement.actuator_id
+        f = forces_n[aid]
+        reject(f, f < 0.0, ValueError, "force magnitudes must be >= 0, got {} for {!r}", aid)
         signed = placement.direction.value * f
         net += signed
         segment = -1.0 if placement.site is Site.SHANK else 1.0
@@ -109,6 +116,15 @@ def step_pressure(actual_kpa: float, commanded_kpa: float, dt_s: float, tau_s: f
     if dt_s <= 0.0 or tau_s <= 0.0:
         raise ValueError("dt_s and tau_s must be > 0")
     return actual_kpa + (commanded_kpa - actual_kpa) * (1.0 - math.exp(-dt_s / tau_s))
+
+
+def _lag(commanded_kpa: np.ndarray, alpha: float) -> np.ndarray:
+    """Supply pressures [n, k] from 0 kPa, stepping a <- a + (c - a) * alpha in order."""
+    columns = []
+    for column in commanded_kpa.T.tolist():
+        a = 0.0
+        columns.append([a := a + (c - a) * alpha for c in column])
+    return np.array(columns, dtype=float).T
 
 
 @dataclass(frozen=True)
@@ -147,30 +163,27 @@ class GaitSchedule:
                         f"outside [0, {cap}]"
                     )
 
+    def _phase_index(self, cycle_position):
+        """Index of the phase active at each position (a float or an array)."""
+        ends = np.array(list(accumulate(ph.fraction for ph in self.phases))) - 1e-15
+        index = np.searchsorted(ends, np.asarray(cycle_position) % 1.0, side="right")
+        return np.minimum(index, len(self.phases) - 1)
+
     def phase_at(self, cycle_position: float) -> GaitPhase:
         """Phase active at a position in [0, 1); transitions at exact cumulative fractions."""
-        pos = cycle_position % 1.0
-        cumulative = 0.0
-        for ph in self.phases:
-            cumulative += ph.fraction
-            if pos < cumulative - 1e-15:
-                return ph
-        return self.phases[-1]
+        return self.phases[int(self._phase_index(cycle_position))]
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    t_s: float
-    commanded_kpa: dict[str, float]
-    actual_kpa: dict[str, float]
-    force_n: dict[str, float]
-    net_force_n: float
-    moment_nm: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationTrace:
-    steps: tuple[TraceStep, ...]
+    """Row k of each array is step k; [n, 6] arrays have a column per ``actuator_ids``."""
+
+    t_s: np.ndarray
+    commanded_kpa: np.ndarray
+    actual_kpa: np.ndarray
+    force_n: np.ndarray
+    net_force_n: np.ndarray
+    moment_nm: np.ndarray
     actuator_ids: tuple[str, ...]
 
 
@@ -194,23 +207,21 @@ def run_gait_cycle(
             f"dt {dt_s} s must be shorter than the shortest phase ({shortest:g} s)"
         )
     schedule.validate_against(layout)
+    alpha = step_pressure(0.0, 1.0, dt_s, tau_s)  # one step from 0 toward 1 is the lag factor
     placements = layout.by_id()
     ids = tuple(sorted(placements))
-    actual = {aid: 0.0 for aid in ids}
-    steps = []
-    n_steps = int(round(n_cycles * cycle_duration_s / dt_s))
-    for k in range(1, n_steps + 1):
-        t = k * dt_s
-        # phase is held over the step interval [t - dt, t)
-        phase = schedule.phase_at(((k - 1) * dt_s) / cycle_duration_s)
-        commanded = {aid: phase.pressures_kpa.get(aid, 0.0) for aid in ids}
-        actual = {
-            aid: step_pressure(actual[aid], commanded[aid], dt_s, tau_s) for aid in ids
-        }
-        forces = {aid: predicted_force(actual[aid], placements[aid].spec) for aid in ids}
-        net, moment = corrective_moment(layout, forces)
-        steps.append(TraceStep(t, commanded, actual, forces, net, moment))
-    return SimulationTrace(tuple(steps), ids)
+    n_steps = max(0, int(round(n_cycles * cycle_duration_s / dt_s)))
+    k = np.arange(n_steps, dtype=float)
+    # phase is held over the step interval [t - dt, t)
+    phase = schedule._phase_index(k * dt_s / cycle_duration_s)
+    table = [[ph.pressures_kpa.get(aid, 0.0) for aid in ids] for ph in schedule.phases]
+    commanded = np.array(table, dtype=float)[phase]
+    actual = _lag(commanded, alpha)
+    force = np.column_stack(
+        [predicted_force(actual[:, j], placements[aid].spec) for j, aid in enumerate(ids)]
+    )
+    net, moment = corrective_moment(layout, dict(zip(ids, force.T)))
+    return SimulationTrace((k + 1.0) * dt_s, commanded, actual, force, net, moment, ids)
 
 
 def default_layout(spec: ActuatorSpec | None = None) -> BraceLayout:
@@ -223,25 +234,13 @@ def default_layout(spec: ActuatorSpec | None = None) -> BraceLayout:
     if spec is None:
         spec = engineered_spec()
     arms = {Site.THIGH: 0.15, Site.KNEE: 0.0, Site.SHANK: -0.15}
-    placements = []
-    for site in (Site.THIGH, Site.KNEE, Site.SHANK):
-        for side in (Side.MEDIAL, Side.LATERAL):
-            direction = (
-                ForceDirection.MEDIAL_TO_LATERAL
-                if side is Side.MEDIAL
-                else ForceDirection.LATERAL_TO_MEDIAL
-            )
-            placements.append(
-                ActuatorPlacement(
-                    actuator_id=f"{site.value}_{side.value}",
-                    site=site,
-                    side=side,
-                    spec=spec,
-                    lever_arm_m=arms[site],
-                    direction=direction,
-                )
-            )
-    return BraceLayout(tuple(placements))
+    inward = {Side.MEDIAL: ForceDirection.MEDIAL_TO_LATERAL,
+              Side.LATERAL: ForceDirection.LATERAL_TO_MEDIAL}
+    return BraceLayout(tuple(
+        ActuatorPlacement(f"{site.value}_{side.value}", site, side, spec, arms[site], inward[side])
+        for site in Site
+        for side in Side
+    ))
 
 
 def default_valgus_schedule() -> GaitSchedule:
@@ -264,15 +263,26 @@ def default_valgus_schedule() -> GaitSchedule:
 
 
 TRACE_HEADER = ["t_s", "actuator_id", "commanded_kpa", "actual_kpa", "force_n", "moment_nm"]
+_CHUNK_STEPS = 1024
 
 
 def write_trace_csv(trace: SimulationTrace) -> str:
-    """One row per (time step, actuator); moment repeats the step's value."""
-    lines = [",".join(TRACE_HEADER)]
-    for step in trace.steps:
-        for aid in trace.actuator_ids:
-            lines.append(
-                f"{step.t_s:.4f},{aid},{step.commanded_kpa[aid]:.4f},"
-                f"{step.actual_kpa[aid]:.4f},{step.force_n[aid]:.4f},{step.moment_nm:.4f}"
-            )
-    return "\n".join(lines) + "\n"
+    """One row per (time step, actuator); moment repeats the step's value.
+
+    Steps are formatted a chunk at a time, so the field strings stay small.
+    """
+    ids = list(trace.actuator_ids)
+    parts = [",".join(TRACE_HEADER) + "\n"]
+    for start in range(0, len(trace.t_s), _CHUNK_STEPS):
+        rows = slice(start, start + _CHUNK_STEPS)
+        t, commanded, actual, force, moment = (format_each(x, "{:.4f}") for x in (
+            np.repeat(trace.t_s[rows], len(ids)),
+            trace.commanded_kpa[rows],
+            trace.actual_kpa[rows],
+            trace.force_n[rows],
+            np.repeat(trace.moment_nm[rows], len(ids)),
+        ))
+        row_ids = ids * (len(t) // len(ids))
+        parts.append("\n".join(map(",".join, zip(t, row_ids, commanded, actual, force, moment))))
+        parts.append("\n")
+    return "".join(parts)

@@ -18,15 +18,11 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import brace, configio, rig, sweep
 from .geometry import CrossSection, DimensionError, area, equal_area_family, ideal_force
-from .loss import (
-    ActuatorSpec,
-    OverPressureError,
-    balloon_spec,
-    loss_fraction,
-    predicted_force,
-)
+from .loss import OverPressureError, balloon_spec, loss_fraction, predicted_force
 from .svgchart import line_chart_svg
 
 EXIT_OK = 0
@@ -110,15 +106,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _balloon_ground_truth() -> dict[str, ActuatorSpec]:
-    family = equal_area_family(25.0, 2.0)
-    names = ["circle", "triangle", "square", "rectangle"]
-    return {name: balloon_spec(cs) for name, cs in zip(names, family)}
+def _balloon_family() -> dict[str, CrossSection]:
+    return dict(zip(["circle", "triangle", "square", "rectangle"], equal_area_family(25.0, 2.0)))
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     protocol = sweep.SweepProtocol(trials=args.trials)
-    ground_truth = _balloon_ground_truth()
+    ground_truth = {name: balloon_spec(cs) for name, cs in _balloon_family().items()}
     sigma = (
         args.noise_sigma
         if args.noise_sigma is not None
@@ -141,16 +135,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     try:
         with open(args.input, encoding="utf-8") as fh:
             ds = sweep.read_measurements_csv(fh.read())
-        shapes = (
-            configio.load_shapes(args.shapes)
-            if args.shapes
-            else {
-                name: cs
-                for name, cs in zip(
-                    ["circle", "triangle", "square", "rectangle"], equal_area_family(25.0, 2.0)
-                )
-            }
-        )
+        shapes = configio.load_shapes(args.shapes) if args.shapes else _balloon_family()
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -178,7 +163,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     print(fit_csv, end="")
     if args.format in ("csv", "both"):
         _write(_out_path(args.out, "fit_report.csv"), fit_csv)
-        # comparison table against the pooled fit of the first shape id
+        # comparison table against one fit pooled over all shapes
         pooled = sweep.fit_linear_loss(
             [pt for s in series.values() for pt in s], window
         ).as_model()
@@ -222,12 +207,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except (brace.ScheduleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    csv_text = brace.write_trace_csv(trace)
     if args.format in ("csv", "both"):
-        _write(_out_path(args.out, "trace.csv"), csv_text)
+        _write(_out_path(args.out, "trace.csv"), brace.write_trace_csv(trace))
     if args.format in ("svg", "both"):
         force_series = {
-            aid: [(s.t_s, s.force_n[aid]) for s in trace.steps] for aid in trace.actuator_ids
+            aid: np.column_stack((trace.t_s, trace.force_n[:, j]))
+            for j, aid in enumerate(trace.actuator_ids)
         }
         _write(
             _out_path(args.out, "trace.svg"),
@@ -235,11 +220,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 force_series, "Actuator forces over the gait cycle", "time (s)", "force (N)"
             ),
         )
-    if trace.steps:
-        last = trace.steps[-1]
-        print(f"steps: {len(trace.steps)}")
-        print(f"final moment_nm: {_fmt(last.moment_nm)}")
-        print(f"final net_force_n: {_fmt(last.net_force_n)}")
+    if len(trace.t_s):
+        print(f"steps: {len(trace.t_s)}")
+        print(f"final moment_nm: {_fmt(trace.moment_nm[-1])}")
+        print(f"final net_force_n: {_fmt(trace.net_force_n[-1])}")
     return EXIT_OK
 
 

@@ -29,6 +29,7 @@ schedule file: ``phases: [{name, fraction, pressures: {<id>: kPa}}, ...]``
 
 from __future__ import annotations
 
+from dataclasses import asdict, fields
 from typing import Any
 
 import yaml
@@ -57,72 +58,52 @@ class ConfigError(ValueError):
     """Config file is malformed or names an unknown kind/form."""
 
 
+_CROSS_SECTIONS = {
+    "circle": Circle,
+    "equilateral_triangle": EquilateralTriangle,
+    "square": Square,
+    "rectangle": Rectangle,
+    "rounded_rectangle": RoundedRectangle,
+}
+_LOSS_MODELS = {"linear": LinearLoss, "exponential": ExponentialLoss}
+_DIRECTIONS = {d.name.lower(): d for d in ForceDirection}
+
+
+def _lookup(table: dict[str, Any], name: Any, what: str) -> Any:
+    found = next((value for key, value in table.items() if key == name), None)
+    if found is None:
+        raise ConfigError(f"unknown {what} {name!r}")
+    return found
+
+
+def _name_of(table: dict[str, type], obj: Any) -> str:
+    return next(name for name, cls in table.items() if isinstance(obj, cls))
+
+
 def cross_section_from_dict(d: dict[str, Any]) -> CrossSection:
     try:
-        kind = d["kind"]
-        if kind == "circle":
-            return Circle(float(d["radius_mm"]))
-        if kind == "equilateral_triangle":
-            return EquilateralTriangle(float(d["side_mm"]))
-        if kind == "square":
-            return Square(float(d["side_mm"]))
-        if kind == "rectangle":
-            return Rectangle(float(d["width_mm"]), float(d["height_mm"]))
-        if kind == "rounded_rectangle":
-            return RoundedRectangle(
-                float(d["width_mm"]), float(d["height_mm"]), float(d["corner_radius_mm"])
-            )
+        cls = _lookup(_CROSS_SECTIONS, d["kind"], "cross-section kind")
+        return cls(*(float(d[f.name]) for f in fields(cls)))
     except KeyError as exc:
         raise ConfigError(f"cross-section config missing key {exc}") from exc
-    raise ConfigError(f"unknown cross-section kind {d.get('kind')!r}")
 
 
 def cross_section_to_dict(cs: CrossSection) -> dict[str, Any]:
-    if isinstance(cs, Circle):
-        return {"kind": "circle", "radius_mm": cs.radius_mm}
-    if isinstance(cs, EquilateralTriangle):
-        return {"kind": "equilateral_triangle", "side_mm": cs.side_mm}
-    if isinstance(cs, Square):
-        return {"kind": "square", "side_mm": cs.side_mm}
-    if isinstance(cs, Rectangle):
-        return {"kind": "rectangle", "width_mm": cs.width_mm, "height_mm": cs.height_mm}
-    if isinstance(cs, RoundedRectangle):
-        return {
-            "kind": "rounded_rectangle",
-            "width_mm": cs.width_mm,
-            "height_mm": cs.height_mm,
-            "corner_radius_mm": cs.corner_radius_mm,
-        }
-    raise TypeError(f"not a cross-section: {cs!r}")
+    return {"kind": _name_of(_CROSS_SECTIONS, cs), **asdict(cs)}
 
 
 def loss_model_from_dict(d: dict[str, Any]) -> LossModel:
     try:
-        form = d["form"]
+        cls = _lookup(_LOSS_MODELS, d["form"], "loss model form")
         rng = tuple(float(x) for x in d["valid_range_kpa"])
-        if form == "linear":
-            return LinearLoss(float(d["slope_per_kpa"]), float(d["intercept"]), rng)
-        if form == "exponential":
-            return ExponentialLoss(float(d["amplitude"]), float(d["decay_per_kpa"]), rng)
+        return cls(*(float(d[f.name]) for f in fields(cls)[:-1]), rng)
     except KeyError as exc:
         raise ConfigError(f"loss model config missing key {exc}") from exc
-    raise ConfigError(f"unknown loss model form {d.get('form')!r}")
 
 
 def loss_model_to_dict(m: LossModel) -> dict[str, Any]:
-    if isinstance(m, LinearLoss):
-        return {
-            "form": "linear",
-            "slope_per_kpa": m.slope_per_kpa,
-            "intercept": m.intercept,
-            "valid_range_kpa": list(m.valid_range_kpa),
-        }
-    return {
-        "form": "exponential",
-        "amplitude": m.amplitude,
-        "decay_per_kpa": m.decay_per_kpa,
-        "valid_range_kpa": list(m.valid_range_kpa),
-    }
+    valid_range = list(m.valid_range_kpa)
+    return {"form": _name_of(_LOSS_MODELS, m), **asdict(m), "valid_range_kpa": valid_range}
 
 
 def actuator_spec_from_dict(d: dict[str, Any]) -> ActuatorSpec:
@@ -140,11 +121,9 @@ def actuator_spec_from_dict(d: dict[str, Any]) -> ActuatorSpec:
 
 def actuator_spec_to_dict(spec: ActuatorSpec) -> dict[str, Any]:
     return {
+        **asdict(spec),
         "cross_section": cross_section_to_dict(spec.cross_section),
         "loss_model": loss_model_to_dict(spec.loss_model),
-        "max_pressure_kpa": spec.max_pressure_kpa,
-        "stroke_mm": spec.stroke_mm,
-        "allow_extrapolation": spec.allow_extrapolation,
     }
 
 
@@ -194,13 +173,7 @@ def load_layout(path: str) -> BraceLayout:
 
 
 def _direction(name: str) -> ForceDirection:
-    try:
-        return {
-            "medial_to_lateral": ForceDirection.MEDIAL_TO_LATERAL,
-            "lateral_to_medial": ForceDirection.LATERAL_TO_MEDIAL,
-        }[name]
-    except KeyError:
-        raise ConfigError(f"unknown force direction {name!r}") from None
+    return _lookup(_DIRECTIONS, name, "force direction")
 
 
 def load_schedule(path: str) -> GaitSchedule:
@@ -226,11 +199,7 @@ def layout_to_dict(layout: BraceLayout) -> dict[str, Any]:
                 "site": a.site.value,
                 "side": a.side.value,
                 "lever_arm_m": a.lever_arm_m,
-                "direction": (
-                    "medial_to_lateral"
-                    if a.direction is ForceDirection.MEDIAL_TO_LATERAL
-                    else "lateral_to_medial"
-                ),
+                "direction": a.direction.name.lower(),
                 "spec": actuator_spec_to_dict(a.spec),
             }
             for a in layout.actuators

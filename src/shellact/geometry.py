@@ -13,7 +13,9 @@ The single kPa*mm^2 -> N conversion (factor 1e-3) lives in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 #: Default supply-pressure cap in kPa. The characterization rig uses 3D
 #: printed parts that are not rated beyond this.
@@ -31,13 +33,27 @@ class SafetyCapError(ValueError):
     """A pressure exceeds the configured safety cap."""
 
 
-def check_pressure(pressure_kpa: float, cap_kpa: float = DEFAULT_SAFETY_CAP_KPA) -> float:
-    """Validate a supply pressure: finite, non-negative, within the cap."""
-    if not math.isfinite(pressure_kpa) or pressure_kpa < 0.0:
-        raise ValueError(f"pressure must be a finite non-negative kPa value, got {pressure_kpa!r}")
-    if pressure_kpa > cap_kpa:
-        raise SafetyCapError(f"pressure {pressure_kpa} kPa exceeds safety cap {cap_kpa} kPa")
-    return pressure_kpa
+def reject(values, bad, error: type[Exception], message: str, *args) -> None:
+    """Raise ``error(message.format(v, *args))`` for the first value v flagged ``bad``.
+
+    ``values`` is a float with a bool flag or an array with a bool mask of
+    its shape, so one check serves scalar and array callers.
+    """
+    if isinstance(bad, np.ndarray):
+        if bad.any():
+            raise error(message.format(float(values[bad][0]), *args))
+    elif bad:
+        raise error(message.format(values, *args))
+
+
+def check_pressure(pressure_kpa, cap_kpa: float = DEFAULT_SAFETY_CAP_KPA):
+    """Validate supply pressures (a float or an array): finite, non-negative, within the cap."""
+    p = pressure_kpa
+    # negative, NaN (p != p) or infinite; plain comparisons keep floats off numpy
+    reject(p, (p < 0.0) | (p != p) | (p == math.inf), ValueError,
+           "pressure must be a finite non-negative kPa value, got {!r}")
+    reject(p, p > cap_kpa, SafetyCapError, "pressure {} kPa exceeds safety cap {} kPa", cap_kpa)
+    return p
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -45,38 +61,31 @@ def _require_positive(name: str, value: float) -> None:
         raise DimensionError(f"{name} must be positive and finite, got {value!r}")
 
 
+class _PositiveDimensions:
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            _require_positive(f.name, getattr(self, f.name))
+
+
 @dataclass(frozen=True)
-class Circle:
+class Circle(_PositiveDimensions):
     radius_mm: float
 
-    def __post_init__(self) -> None:
-        _require_positive("radius_mm", self.radius_mm)
-
 
 @dataclass(frozen=True)
-class EquilateralTriangle:
+class EquilateralTriangle(_PositiveDimensions):
     side_mm: float
 
-    def __post_init__(self) -> None:
-        _require_positive("side_mm", self.side_mm)
-
 
 @dataclass(frozen=True)
-class Square:
+class Square(_PositiveDimensions):
     side_mm: float
 
-    def __post_init__(self) -> None:
-        _require_positive("side_mm", self.side_mm)
-
 
 @dataclass(frozen=True)
-class Rectangle:
+class Rectangle(_PositiveDimensions):
     width_mm: float
     height_mm: float
-
-    def __post_init__(self) -> None:
-        _require_positive("width_mm", self.width_mm)
-        _require_positive("height_mm", self.height_mm)
 
 
 @dataclass(frozen=True)
@@ -138,11 +147,7 @@ def equal_area_family(
     ]
 
 
-def ideal_force(
-    pressure_kpa: float,
-    cs: CrossSection,
-    safety_cap_kpa: float = DEFAULT_SAFETY_CAP_KPA,
-) -> float:
-    """Lossless force P*A in newtons for a supply pressure and a cross-section."""
+def ideal_force(pressure_kpa, cs: CrossSection, safety_cap_kpa: float = DEFAULT_SAFETY_CAP_KPA):
+    """Lossless force P*A in newtons for supply pressures (a float or an array)."""
     check_pressure(pressure_kpa, safety_cap_kpa)
     return pressure_kpa * area(cs) * _KPA_MM2_TO_N

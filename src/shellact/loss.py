@@ -4,7 +4,8 @@ The measured output force of the actuator is the ideal pressure*area force
 scaled by ``1 - loss``, where the loss is a dimensionless fraction in
 [0, 1]. Two parametric loss curves are supported: a linear fit valid over
 the upper half of the pressure sweep (balloon prototype) and an
-exponentially decaying loss (molded actuator).
+exponentially decaying loss (molded actuator). Every evaluation takes a
+float or a numpy array of pressures.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .geometry import CrossSection, ideal_force
+import numpy as np
+
+from .geometry import CrossSection, ideal_force, reject
 
 
 class OverPressureError(ValueError):
@@ -21,6 +24,20 @@ class OverPressureError(ValueError):
 
 class ZeroPressureError(ValueError):
     """Loss back-calculation requires a strictly positive pressure."""
+
+
+def _exp(x):
+    """math.exp of a float or of each array element (np.exp can differ in the last bit)."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return math.exp(x)
+
+
+def _clamped_loss(pressure_kpa, model: LossModel):
+    raw = model.raw(pressure_kpa)
+    if isinstance(raw, np.ndarray):
+        return np.fmin(1.0, np.fmax(0.0, raw))  # like min/max below, NaN clamps to 0.0
+    return min(1.0, max(0.0, raw))
 
 
 def _check_valid_range(valid_range_kpa: tuple[float, float]) -> None:
@@ -40,7 +57,7 @@ class LinearLoss:
     def __post_init__(self) -> None:
         _check_valid_range(self.valid_range_kpa)
 
-    def raw(self, pressure_kpa: float) -> float:
+    def raw(self, pressure_kpa):
         return self.slope_per_kpa * pressure_kpa + self.intercept
 
 
@@ -55,8 +72,8 @@ class ExponentialLoss:
     def __post_init__(self) -> None:
         _check_valid_range(self.valid_range_kpa)
 
-    def raw(self, pressure_kpa: float) -> float:
-        return self.amplitude * math.exp(-self.decay_per_kpa * pressure_kpa)
+    def raw(self, pressure_kpa):
+        return self.amplitude * _exp(-self.decay_per_kpa * pressure_kpa)
 
 
 LossModel = LinearLoss | ExponentialLoss
@@ -71,24 +88,25 @@ ENGINEERED_LOSS = ExponentialLoss(amplitude=0.9930, decay_per_kpa=0.0700)
 
 @dataclass(frozen=True)
 class LossValue:
-    """Evaluated loss fraction plus an out-of-validity-range flag."""
+    """Loss fraction plus out-of-validity-range flag, as floats or as arrays."""
 
     fraction: float
     extrapolated: bool
 
 
-def loss_fraction(pressure_kpa: float, model: LossModel) -> LossValue:
+def loss_fraction(pressure_kpa, model: LossModel) -> LossValue:
     """Evaluate the loss fraction, clamped to [0, 1].
 
     Pressures outside the model's validity range are evaluated anyway but
     flagged as extrapolated.
     """
     lo, hi = model.valid_range_kpa
-    fraction = min(1.0, max(0.0, model.raw(pressure_kpa)))
-    return LossValue(fraction, extrapolated=not lo <= pressure_kpa <= hi)
+    inside = (lo <= pressure_kpa) & (pressure_kpa <= hi)
+    # ``^ True`` negates a bool and a bool array alike
+    return LossValue(_clamped_loss(pressure_kpa, model), extrapolated=inside ^ True)
 
 
-def efficiency(pressure_kpa: float, model: LossModel) -> LossValue:
+def efficiency(pressure_kpa, model: LossModel) -> LossValue:
     """Complement of the loss fraction (1 - loss), same extrapolation flag."""
     lv = loss_fraction(pressure_kpa, model)
     return LossValue(1.0 - lv.fraction, lv.extrapolated)
@@ -140,14 +158,13 @@ def engineered_spec() -> ActuatorSpec:
     )
 
 
-def predicted_force(pressure_kpa: float, spec: ActuatorSpec) -> float:
-    """Model force in newtons: ideal_force * (1 - loss)."""
-    if pressure_kpa > spec.max_pressure_kpa:
-        raise OverPressureError(
-            f"pressure {pressure_kpa} kPa exceeds actuator max {spec.max_pressure_kpa} kPa"
-        )
-    ideal = ideal_force(pressure_kpa, spec.cross_section, safety_cap_kpa=spec.max_pressure_kpa)
-    return ideal * (1.0 - loss_fraction(pressure_kpa, spec.loss_model).fraction)
+def predicted_force(pressure_kpa, spec: ActuatorSpec):
+    """Model force in newtons: ideal_force * (1 - loss), for a float or an array."""
+    cap = spec.max_pressure_kpa
+    reject(pressure_kpa, pressure_kpa > cap, OverPressureError,
+           "pressure {} kPa exceeds actuator max {} kPa", cap)
+    ideal = ideal_force(pressure_kpa, spec.cross_section, safety_cap_kpa=cap)
+    return ideal * (1.0 - _clamped_loss(pressure_kpa, spec.loss_model))
 
 
 def loss_from_measurement(

@@ -69,7 +69,8 @@ class SweepProtocol:
             raise ValueError("trials must be >= 1")
 
     def pressures(self) -> list[float]:
-        n = int(round((self.stop_kpa - self.start_kpa) / self.step_kpa))
+        """start, start + step, ... up to stop; never past stop when the step does not divide."""
+        n = math.floor((self.stop_kpa - self.start_kpa) / self.step_kpa + 1e-9)
         return [self.start_kpa + i * self.step_kpa for i in range(n + 1)]
 
 
@@ -315,14 +316,7 @@ def write_report_csv(rows: list[ReportRow]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(REPORT_HEADER)
     for row in sorted(rows, key=lambda r: (r.shape_id, r.pressure_kpa)):
-        writer.writerow(
-            [
-                row.shape_id,
-                _fmt(row.pressure_kpa),
-                _fmt(row.ideal_force_n),
-                _fmt(row.predicted_force_n),
-                _fmt(row.mean_measured_force_n),
-                _fmt(row.loss_fraction),
-            ]
-        )
+        numbers = (row.pressure_kpa, row.ideal_force_n, row.predicted_force_n,
+                   row.mean_measured_force_n, row.loss_fraction)
+        writer.writerow([row.shape_id, *map(_fmt, numbers)])
     return buf.getvalue()

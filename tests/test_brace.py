@@ -1,9 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from shellact import brace
 from shellact.brace import (
+    TRACE_HEADER,
     ActuatorPlacement,
     BraceLayout,
     ForceDirection,
@@ -12,6 +16,7 @@ from shellact.brace import (
     LayoutError,
     ScheduleError,
     Side,
+    SimulationTrace,
     Site,
     corrective_moment,
     default_layout,
@@ -20,6 +25,7 @@ from shellact.brace import (
     step_pressure,
     write_trace_csv,
 )
+from shellact.loss import balloon_spec, predicted_force
 
 
 def zero_forces(layout):
@@ -206,16 +212,166 @@ class TestSchedule:
         assert schedule.phase_at(0.999).name == "swing"
 
 
+# --- reference: the per-step simulation the columnar code replaced ---------
+
+
+def reference_phase_at(schedule, cycle_position):
+    pos = cycle_position % 1.0
+    cumulative = 0.0
+    for ph in schedule.phases:
+        cumulative += ph.fraction
+        if pos < cumulative - 1e-15:
+            return ph
+    return schedule.phases[-1]
+
+
+def reference_gait_cycle(layout, schedule, cycle_duration_s, dt_s, tau_s=0.2, n_cycles=1):
+    """One (t, commanded, actual, forces, net, moment) tuple of dicts per step."""
+    placements = layout.by_id()
+    ids = tuple(sorted(placements))
+    actual = {aid: 0.0 for aid in ids}
+    steps = []
+    n_steps = int(round(n_cycles * cycle_duration_s / dt_s))
+    for k in range(1, n_steps + 1):
+        t = k * dt_s
+        phase = reference_phase_at(schedule, ((k - 1) * dt_s) / cycle_duration_s)
+        commanded = {aid: phase.pressures_kpa.get(aid, 0.0) for aid in ids}
+        actual = {
+            aid: step_pressure(actual[aid], commanded[aid], dt_s, tau_s) for aid in ids
+        }
+        forces = {aid: predicted_force(actual[aid], placements[aid].spec) for aid in ids}
+        net, moment = corrective_moment(layout, forces)
+        steps.append((t, commanded, actual, forces, net, moment))
+    return steps, ids
+
+
+def reference_trace_csv(steps, ids):
+    lines = [",".join(TRACE_HEADER)]
+    for t, commanded, actual, forces, _net, moment in steps:
+        for aid in ids:
+            lines.append(
+                f"{t:.4f},{aid},{commanded[aid]:.4f},"
+                f"{actual[aid]:.4f},{forces[aid]:.4f},{moment:.4f}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def mixed_layout():
+    """Balloon (linear loss) actuators on the thigh, engineered ones elsewhere."""
+    return BraceLayout(tuple(
+        dataclasses.replace(a, spec=balloon_spec()) if a.site is Site.THIGH else a
+        for a in default_layout().actuators
+    ))
+
+
+@st.composite
+def simulations(draw):
+    layout = draw(st.sampled_from([default_layout(), mixed_layout()]))
+    ids = sorted(layout.by_id())
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4))
+    phases = []
+    for i, w in enumerate(weights):
+        active = draw(st.lists(st.sampled_from(ids), unique=True, max_size=6))
+        pressures = {aid: draw(st.floats(0.0, 50.0)) for aid in active}
+        phases.append(GaitPhase(f"p{i}", w / math.fsum(weights), pressures))
+    schedule = GaitSchedule(tuple(phases))
+    duration = draw(st.floats(0.2, 2.0))
+    dt = draw(st.floats(0.001, 0.05))
+    cycles = draw(st.integers(1, 3))
+    assume(dt < min(ph.fraction for ph in phases) * duration)
+    assume(cycles * duration / dt <= 1500)
+    return layout, schedule, duration, dt, draw(st.floats(0.005, 1.0)), cycles
+
+
+class TestColumnarMatchesReference:
+    @settings(max_examples=40, deadline=None)
+    @given(simulations())
+    def test_exact_match(self, sim):
+        layout, schedule, duration, dt, tau, cycles = sim
+        trace = run_gait_cycle(layout, schedule, duration, dt, tau_s=tau, n_cycles=cycles)
+        steps, ids = reference_gait_cycle(layout, schedule, duration, dt, tau, cycles)
+        assert trace.actuator_ids == ids
+        assert trace.t_s.tolist() == [s[0] for s in steps]
+        for field, i in (("commanded_kpa", 1), ("actual_kpa", 2), ("force_n", 3)):
+            want = [[float(s[i][aid]) for aid in ids] for s in steps]
+            assert getattr(trace, field).reshape(-1, len(ids)).tolist() == want, field
+        assert trace.net_force_n.tolist() == [s[4] for s in steps]
+        assert trace.moment_nm.tolist() == [s[5] for s in steps]
+        assert write_trace_csv(trace) == reference_trace_csv(steps, ids)
+
+    def test_default_brace_gait_match(self):
+        layout, schedule = default_layout(), default_valgus_schedule()
+        trace = run_gait_cycle(layout, schedule, 1.2, 0.001, n_cycles=2)
+        steps, ids = reference_gait_cycle(layout, schedule, 1.2, 0.001, n_cycles=2)
+        assert write_trace_csv(trace) == reference_trace_csv(steps, ids)
+
+    def test_phase_lookup_matches_reference(self):
+        schedule = default_valgus_schedule()
+        for pos in (0.0, 0.1, 0.4, 0.6, 0.999, 1.0, 1.1, 0.1 - 1e-16, 0.4 + 1e-15, 3.7):
+            assert schedule.phase_at(pos) is reference_phase_at(schedule, pos)
+
+
+class TestTraceCsv:
+    def hand_built(self, moment_nm):
+        n = len(moment_nm)
+        zeros = np.zeros((n, 6))
+        ids = tuple(sorted(default_layout().by_id()))
+        t = np.arange(1, n + 1) * 0.01
+        return SimulationTrace(t, zeros, zeros, zeros, np.zeros(n), np.array(moment_nm), ids)
+
+    def test_small_negative_moment_writes_negative_zero(self):
+        rows = write_trace_csv(self.hand_built([-1e-6, 0.0, 1e-6])).splitlines()[1:]
+        assert [r.rsplit(",", 1)[1] for r in rows[::6]] == ["-0.0000", "0.0000", "0.0000"]
+
+    def test_negative_zero_kept_apart_from_zero(self):
+        rows = write_trace_csv(self.hand_built([-0.0, 0.0])).splitlines()[1:]
+        assert [r.rsplit(",", 1)[1] for r in rows[::6]] == ["-0.0000", "0.0000"]
+
+    def test_chunking_does_not_change_bytes(self, monkeypatch):
+        trace = run_gait_cycle(default_layout(), default_valgus_schedule(), 1.2, 0.01)
+        whole = write_trace_csv(trace)
+        for chunk in (1, 7):
+            monkeypatch.setattr(brace, "_CHUNK_STEPS", chunk)
+            assert write_trace_csv(trace) == whole
+
+    def test_zero_steps_writes_header_only(self):
+        trace = run_gait_cycle(default_layout(), default_valgus_schedule(), 1.2, 0.01, n_cycles=0)
+        assert trace.force_n.shape == (0, 6)
+        assert write_trace_csv(trace) == ",".join(TRACE_HEADER) + "\n"
+
+
+class TestArrayChecks:
+    def test_negative_array_force_names_value(self):
+        layout = default_layout()
+        forces = {aid: np.zeros(3) for aid in layout.by_id()}
+        forces["knee_medial"] = np.array([1.0, -2.5, -3.0])
+        with pytest.raises(ValueError, match=r"got -2\.5 for 'knee_medial'"):
+            corrective_moment(layout, forces)
+
+    def test_array_moment_matches_scalar(self):
+        layout = default_layout()
+        rng = np.random.default_rng(5)
+        forces = {aid: rng.uniform(0.0, 120.0, 50) for aid in layout.by_id()}
+        net, moment = corrective_moment(layout, forces)
+        for k in range(50):
+            n_k, m_k = corrective_moment(layout, {a: float(f[k]) for a, f in forces.items()})
+            assert (net[k], moment[k]) == (n_k, m_k)
+
+    def test_tau_must_be_positive(self):
+        with pytest.raises(ValueError):
+            run_gait_cycle(default_layout(), default_valgus_schedule(), 1.2, 0.01, tau_s=0.0)
+
+
 class TestRunGaitCycle:
     def test_empty_schedule_gives_zero_trace(self):
         layout = default_layout()
         schedule = GaitSchedule((GaitPhase("idle", 1.0, {}),))
         trace = run_gait_cycle(layout, schedule, 1.0, 0.01)
-        assert len(trace.steps) == 100
-        for step in trace.steps:
-            assert step.net_force_n == 0.0
-            assert step.moment_nm == 0.0
-            assert all(v == 0.0 for v in step.force_n.values())
+        assert len(trace.t_s) == 100
+        assert trace.force_n.shape == (100, 6)
+        assert np.all(trace.net_force_n == 0.0)
+        assert np.all(trace.moment_nm == 0.0)
+        assert np.all(trace.force_n == 0.0)
 
     def test_steady_state_knee_pair_force(self):
         layout = default_layout()
@@ -224,17 +380,17 @@ class TestRunGaitCycle:
         )
         tau = 0.2
         trace = run_gait_cycle(layout, schedule, 2.0, 0.01, tau_s=tau)  # 10 tau
-        last = trace.steps[-1]
-        assert last.force_n["knee_medial"] == pytest.approx(113.7, abs=1.0)
-        assert last.force_n["knee_lateral"] == pytest.approx(113.7, abs=1.0)
+        last = dict(zip(trace.actuator_ids, trace.force_n[-1]))
+        assert last["knee_medial"] == pytest.approx(113.7, abs=1.0)
+        assert last["knee_lateral"] == pytest.approx(113.7, abs=1.0)
 
     def test_moment_matches_recomputation_every_step(self):
         layout = default_layout()
         trace = run_gait_cycle(layout, default_valgus_schedule(), 1.2, 0.01)
-        for step in trace.steps:
-            net, moment = corrective_moment(layout, step.force_n)
-            assert abs(step.moment_nm - moment) < 1e-12
-            assert abs(step.net_force_n - net) < 1e-12
+        for k in range(len(trace.t_s)):
+            net, moment = corrective_moment(layout, dict(zip(trace.actuator_ids, trace.force_n[k])))
+            assert abs(trace.moment_nm[k] - moment) < 1e-12
+            assert abs(trace.net_force_n[k] - net) < 1e-12
 
     def test_determinism(self):
         layout = default_layout()
@@ -245,14 +401,13 @@ class TestRunGaitCycle:
     def test_pressures_within_bounds(self):
         layout = default_layout()
         trace = run_gait_cycle(layout, default_valgus_schedule(), 1.2, 0.01)
-        for step in trace.steps:
-            for aid, actual in step.actual_kpa.items():
-                assert 0.0 <= actual <= layout.by_id()[aid].spec.max_pressure_kpa
+        for j, aid in enumerate(trace.actuator_ids):
+            actual = trace.actual_kpa[:, j]
+            assert np.all((0.0 <= actual) & (actual <= layout.by_id()[aid].spec.max_pressure_kpa))
 
     def test_time_strictly_increasing(self):
         trace = run_gait_cycle(default_layout(), default_valgus_schedule(), 1.2, 0.01)
-        ts = [s.t_s for s in trace.steps]
-        assert all(b > a for a, b in zip(ts, ts[1:]))
+        assert np.all(np.diff(trace.t_s) > 0.0)
 
     def test_dt_longer_than_shortest_phase_rejected(self):
         with pytest.raises(ScheduleError):

@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from shellact.geometry import Circle, RoundedRectangle, ideal_force
+from shellact.geometry import Circle, RoundedRectangle, SafetyCapError, check_pressure, ideal_force
 from shellact.loss import (
     BALLOON_LOSS,
     ENGINEERED_LOSS,
@@ -144,3 +145,44 @@ class TestActuatorSpec:
         # the anchors the defaults were solved from
         assert 0.9930 * math.exp(-0.0700 * 5.0) == pytest.approx(0.70, abs=1e-3)
         assert 0.9930 * math.exp(-0.0700 * 50.0) == pytest.approx(0.03, abs=1e-3)
+
+
+class TestArrayEvaluation:
+    """Arrays go through the same functions as floats and give the same bits."""
+
+    GRID = np.linspace(0.0, 50.0, 201)
+
+    def test_predicted_force_matches_scalar(self):
+        for spec in (balloon_spec(), engineered_spec()):
+            forces = predicted_force(self.GRID, spec)
+            assert forces.tolist() == [predicted_force(p, spec) for p in self.GRID.tolist()]
+
+    def test_loss_fraction_matches_scalar(self):
+        grid = np.append(self.GRID, [-10.0, 500.0, math.nan])
+        for model in (BALLOON_LOSS, ENGINEERED_LOSS):
+            lv = loss_fraction(grid, model)
+            want = [loss_fraction(p, model) for p in grid.tolist()]
+            assert lv.fraction.tolist() == [w.fraction for w in want]
+            assert lv.extrapolated.tolist() == [w.extrapolated for w in want]
+
+    def test_over_pressure_names_first_offender(self):
+        with pytest.raises(OverPressureError, match="pressure 61.5 kPa"):
+            predicted_force(np.array([10.0, 61.5, 70.0]), balloon_spec())
+
+    def test_bad_pressures_name_offender(self):
+        with pytest.raises(ValueError, match="got nan"):
+            check_pressure(np.array([[1.0, 2.0], [math.nan, -1.0]]))
+        with pytest.raises(ValueError, match="got -1.0"):
+            check_pressure(np.array([1.0, -1.0, math.inf]))
+        with pytest.raises(ValueError, match="got inf"):
+            ideal_force(np.array([1.0, math.inf]), Circle(25.0))
+        with pytest.raises(SafetyCapError, match="pressure 60.5 kPa"):
+            ideal_force(np.array([1.0, 60.5]), Circle(25.0))
+
+    def test_scalar_errors_unchanged(self):
+        with pytest.raises(ValueError, match="got -5$"):
+            check_pressure(-5)
+        with pytest.raises(ValueError, match="got nan"):
+            check_pressure(math.nan)
+        with pytest.raises(OverPressureError, match="pressure 61 kPa"):
+            predicted_force(61, balloon_spec())

@@ -1,0 +1,86 @@
+import xml.dom.minidom
+from xml.sax.saxutils import escape
+
+import numpy as np
+from hypothesis import given, strategies as st
+
+from shellact.svgchart import _escape, format_each, line_chart_svg
+
+
+def reference_polylines(series):
+    """Per-point scalar coordinates, as the chart computed them before it used arrays."""
+    pts = [p for s in series.values() for p in s]
+    if not pts:
+        return [""] * len(series)
+    xs_lo, xs_hi = min(x for x, _ in pts), max(x for x, _ in pts)
+    ys_lo, ys_hi = min(y for _, y in pts), max(y for _, y in pts)
+    xs_hi = xs_lo + 1.0 if xs_hi == xs_lo else xs_hi
+    ys_hi = ys_lo + 1.0 if ys_hi == ys_lo else ys_hi
+
+    def px(x):
+        return 60 + (x - xs_lo) / (xs_hi - xs_lo) * 560
+
+    def py(y):
+        return 355 - (y - ys_lo) / (ys_hi - ys_lo) * 325
+
+    return [" ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in sorted(s)) for s in series.values()]
+
+
+def polylines(svg):
+    return [chunk.split('"')[0] for chunk in svg.split('points="')[1:]]
+
+
+coordinate = st.one_of(st.floats(-1e6, 1e6, allow_nan=False), st.sampled_from([0.0, -0.0, 1.0]))
+
+
+class TestEscaping:
+    def test_special_label_parses(self):
+        svg = line_chart_svg({"a<b&c": [(0.0, 1.0), (1.0, 2.0)]}, "t", "x", "y")
+        doc = xml.dom.minidom.parseString(svg)
+        labels = [t.firstChild.data for t in doc.getElementsByTagName("text")]
+        assert "a<b&c" in labels
+
+    def test_title_and_axis_labels_escaped(self):
+        svg = line_chart_svg({"s": [(0.0, 1.0)]}, "P & F", "x <kPa>", "y > 0")
+        texts = xml.dom.minidom.parseString(svg).getElementsByTagName("text")
+        labels = [t.firstChild.data for t in texts]
+        assert {"P & F", "x <kPa>", "y > 0"} <= set(labels)
+
+    def test_matches_saxutils(self):
+        for text in ("", "plain", "a<b&c", "&amp;", "x>y<z", "'\"quotes\""):
+            assert _escape(text) == escape(text)
+
+
+class TestSeriesInput:
+    def test_array_and_pair_list_render_alike(self):
+        pairs = [(2.0, 5.0), (0.0, 1.0), (1.0, 3.0), (1.0, -2.0)]
+        as_list = line_chart_svg({"s": pairs}, "t", "x", "y")
+        as_array = line_chart_svg({"s": np.array(pairs)}, "t", "x", "y")
+        assert as_list == as_array
+
+    def test_points_sorted_by_x_then_y(self):
+        svg = line_chart_svg({"s": [(1.0, 3.0), (0.0, 0.0), (1.0, 1.0)]}, "t", "x", "y")
+        points = svg.split('points="')[1].split('"')[0].split()
+        assert points == ["60.00,355.00", "620.00,246.67", "620.00,30.00"]
+
+    def test_empty_series(self):
+        svg = line_chart_svg({"s": []}, "t", "x", "y")
+        assert 'points=""' in svg
+        xml.dom.minidom.parseString(svg)
+
+
+class TestMatchesReference:
+    @given(st.lists(st.lists(st.tuples(coordinate, coordinate), max_size=30), max_size=6))
+    def test_polyline_text(self, point_lists):
+        series = {f"s{i}": pts for i, pts in enumerate(point_lists)}
+        assert polylines(line_chart_svg(series, "t", "x", "y")) == reference_polylines(series)
+
+
+class TestFormatEach:
+    def test_row_major_and_deduplicated(self):
+        values = np.array([[1.0, 2.5], [1.0, 1.0]])
+        assert format_each(values, "{:.2f}") == ["1.00", "2.50", "1.00", "1.00"]
+
+    def test_negative_zero_kept(self):
+        text = format_each(np.array([0.0, -0.0, -1e-9]), "{:.4f}")
+        assert text == ["0.0000", "-0.0000", "-0.0000"]

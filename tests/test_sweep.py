@@ -41,6 +41,18 @@ def make_clean_dataset(trials=3):
     return SweepDataset(tuple(records))
 
 
+class TestSweepProtocol:
+    def test_default_steps(self):
+        pressures = SweepProtocol().pressures()
+        assert pressures == [5.0 * i for i in range(1, 13)]
+
+    def test_non_dividing_step_stops_at_or_below_stop(self):
+        assert SweepProtocol(5, 7, 60).pressures() == [5, 12, 19, 26, 33, 40, 47, 54]
+
+    def test_float_step_reaches_stop(self):
+        assert len(SweepProtocol(0.1, 0.1, 0.3).pressures()) == 3
+
+
 class TestAggregation:
     def test_mean_is_arithmetic_mean(self):
         ds = SweepDataset(
