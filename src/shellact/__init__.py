@@ -36,7 +36,6 @@ from .loss import (
 )
 from .sweep import (
     FitReport,
-    MeasurementRecord,
     SweepDataset,
     SweepProtocol,
     compute_loss_series,

@@ -21,8 +21,8 @@ import sys
 import numpy as np
 
 from . import brace, configio, rig, sweep
-from .geometry import CrossSection, DimensionError, area, equal_area_family, ideal_force
-from .loss import OverPressureError, balloon_spec, loss_fraction, predicted_force
+from .geometry import CrossSection, area, equal_area_family, ideal_force
+from .loss import balloon_spec, loss_fraction, predicted_force
 from .svgchart import line_chart_svg
 
 EXIT_OK = 0
@@ -132,34 +132,25 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    try:
-        with open(args.input, encoding="utf-8") as fh:
-            ds = sweep.read_measurements_csv(fh.read())
-        shapes = configio.load_shapes(args.shapes) if args.shapes else _balloon_family()
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    violations = sweep.validate_sweep(ds, sweep.SweepProtocol(trials=args.trials))
+    with open(args.input, encoding="utf-8") as fh:
+        ds = sweep.read_measurements_csv(fh.read())
+    shapes = configio.load_shapes(args.shapes) if args.shapes else _balloon_family()
+    aggregates = ds.aggregates()
+    violations = sweep.validate_sweep(aggregates, sweep.SweepProtocol(trials=args.trials))
     if violations:
         for v in violations:
             print(f"protocol violation: {v}", file=sys.stderr)
         return EXIT_DATA
-    try:
-        window = (args.window[0], args.window[1])
-        series = sweep.compute_loss_series(ds, shapes)
-        fit_lines = ["shape_id,window_min_kpa,window_max_kpa,slope_per_kpa,intercept,r_squared"]
-        reports = {}
-        for shape_id in sorted(series):
-            rep = sweep.fit_linear_loss(series[shape_id], window)
-            reports[shape_id] = rep
-            fit_lines.append(
-                f"{shape_id},{_fmt(window[0])},{_fmt(window[1])},"
-                f"{rep.slope_per_kpa:.6f},{rep.intercept:.6f},{_fmt(rep.r_squared)}"
-            )
-        fit_csv = "\n".join(fit_lines) + "\n"
-    except (sweep.FitError, sweep.UnknownShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    window = (args.window[0], args.window[1])
+    series = sweep.compute_loss_series(aggregates, shapes)
+    fit_lines = ["shape_id,window_min_kpa,window_max_kpa,slope_per_kpa,intercept,r_squared"]
+    for shape_id in sorted(series):
+        rep = sweep.fit_linear_loss(series[shape_id], window)
+        fit_lines.append(
+            f"{shape_id},{_fmt(window[0])},{_fmt(window[1])},"
+            f"{rep.slope_per_kpa:.6f},{rep.intercept:.6f},{_fmt(rep.r_squared)}"
+        )
+    fit_csv = "\n".join(fit_lines) + "\n"
     print(fit_csv, end="")
     if args.format in ("csv", "both"):
         _write(_out_path(args.out, "fit_report.csv"), fit_csv)
@@ -169,7 +160,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         ).as_model()
         _write(
             _out_path(args.out, "comparison.csv"),
-            sweep.write_report_csv(sweep.comparison_report(ds, shapes, pooled)),
+            sweep.write_report_csv(sweep.comparison_report(aggregates, shapes, pooled)),
         )
     if args.format in ("svg", "both"):
         _write(
@@ -185,21 +176,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        layout = configio.load_layout(args.layout) if args.layout else brace.default_layout()
-        schedule = (
-            configio.load_schedule(args.schedule)
-            if args.schedule
-            else brace.default_valgus_schedule()
-        )
-    except (OSError, configio.ConfigError, brace.LayoutError, brace.ScheduleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    try:
-        schedule.validate_against(layout)
-    except brace.ScheduleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    layout = configio.load_layout(args.layout) if args.layout else brace.default_layout()
+    schedule = (
+        configio.load_schedule(args.schedule) if args.schedule else brace.default_valgus_schedule()
+    )
+    schedule.validate_against(layout)
     try:
         trace = brace.run_gait_cycle(
             layout, schedule, args.duration, args.dt, tau_s=args.tau, n_cycles=args.cycles
@@ -284,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DimensionError, OverPressureError, configio.ConfigError) as exc:
+    except (OSError, ValueError, OverflowError, sweep.UnknownShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -41,7 +41,7 @@ def reject(values, bad, error: type[Exception], message: str, *args) -> None:
     """
     if isinstance(bad, np.ndarray):
         if bad.any():
-            raise error(message.format(float(values[bad][0]), *args))
+            raise error(message.format(values[bad][0].item(), *args))
     elif bad:
         raise error(message.format(values, *args))
 

@@ -7,9 +7,11 @@ side reads. Below the pre-pressurization knee the bladder is still filling
 the shell cavity, so the loss is blended linearly from a configurable
 start value down to the model's value at the knee.
 
-The random stream is a single seeded PCG64 consumed in a fixed order
-(shapes sorted by id, pressures ascending, trials ascending), so a config
-plus seed fully determines the output bytes.
+The random stream is a single seeded PCG64 consumed in a fixed order: one
+vector draw of ``trials`` values per step, shapes sorted by id, pressures
+ascending. It yields the same values as one scalar draw per trial from the
+same stream, so a config plus seed fully determines the output bytes. The
+dataset is built as columns (see :class:`~shellact.sweep.SweepDataset`).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .geometry import ideal_force
 from .loss import ActuatorSpec, loss_fraction
-from .sweep import MeasurementRecord, SweepDataset, SweepProtocol, write_measurements_csv
+from .sweep import SweepDataset, SweepProtocol, write_measurements_csv
 
 
 @dataclass(frozen=True)
@@ -103,24 +105,33 @@ def true_loss(cfg: RigConfig, spec: ActuatorSpec, pressure_kpa: float) -> float:
 def generate_sweep(cfg: RigConfig) -> SweepDataset:
     """Run the synthetic sweep; identical config and seed give identical bytes."""
     rng = np.random.default_rng(cfg.seed)
-    records = []
-    for shape_id in sorted(cfg.ground_truth):
+    names = sorted(cfg.ground_truth)
+    pressures = cfg.protocol.pressures()
+    trials = cfg.protocol.trials
+    force = np.empty((len(names), len(pressures), trials))
+    for i, shape_id in enumerate(names):
         spec = cfg.ground_truth[shape_id]
-        for p in cfg.protocol.pressures():
+        for j, p in enumerate(pressures):
             ideal = ideal_force(p, spec.cross_section, safety_cap_kpa=spec.max_pressure_kpa)
             clean = ideal * (1.0 - true_loss(cfg, spec, p))
-            for trial in range(1, cfg.protocol.trials + 1):
-                noise = rng.normal(0.0, cfg.noise_sigma_n) if cfg.noise_sigma_n > 0.0 else 0.0
-                records.append(
-                    MeasurementRecord(shape_id, p, trial, max(0.0, clean + noise))
-                )
+            noise = rng.normal(0.0, cfg.noise_sigma_n, trials) if cfg.noise_sigma_n > 0.0 else 0.0
+            measured = clean + noise
+            # a where, not np.maximum, so -0.0 is written as 0.0000
+            force[i, j] = np.where(measured > 0.0, measured, 0.0)
     provenance = [
         f"seed: {cfg.seed}",
         f"config: {_config_digest(cfg)}",
         f"conditioning_cycles: {cfg.conditioning_cycles}",
         *precondition_cycles(cfg.conditioning_cycles),
     ]
-    return SweepDataset(tuple(records), tuple(provenance))
+    return SweepDataset(
+        tuple(names),
+        np.repeat(np.arange(len(names)), len(pressures) * trials),
+        np.tile(np.repeat(pressures, trials), len(names)),
+        np.tile(np.arange(1, trials + 1), len(names) * len(pressures)),
+        force.ravel(),
+        tuple(provenance),
+    )
 
 
 def generate_sweep_csv(cfg: RigConfig) -> str:

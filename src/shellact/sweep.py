@@ -1,9 +1,12 @@
 """Pressure-sweep datasets: ingestion, aggregation, loss fitting, reports.
 
 A sweep dataset holds repeated force measurements per (shape, pressure)
-step. Aggregation, validation against the sweep protocol, ordinary
-least-squares fitting of the linear loss model, and the ideal-vs-predicted
-comparison table all live here.
+step as columns: one array per field over all rows, with shape ids stored
+once and referenced by an integer code per row. Aggregation groups the
+rows with one sort; validation against the sweep protocol, the loss
+series and the ideal-vs-predicted comparison table all take that one
+aggregate table. Ordinary least-squares fitting of the linear loss model
+and the measurement CSV reader and writer also live here.
 """
 
 from __future__ import annotations
@@ -11,10 +14,14 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 
-from .geometry import DEFAULT_SAFETY_CAP_KPA, CrossSection, ideal_force
+import numpy as np
+
+from .geometry import DEFAULT_SAFETY_CAP_KPA, CrossSection, ideal_force, reject
 from .loss import LinearLoss, LossModel, loss_fraction, loss_from_measurement
+from .svgchart import format_each
 
 MEASUREMENT_HEADER = ["shape_id", "pressure_kpa", "trial", "force_n"]
 REPORT_HEADER = [
@@ -33,22 +40,6 @@ class UnknownShapeError(KeyError):
 
 class FitError(ValueError):
     """The fit window holds too little or degenerate data."""
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    shape_id: str
-    pressure_kpa: float
-    trial: int
-    force_n: float
-
-    def __post_init__(self) -> None:
-        if self.pressure_kpa <= 0.0 or not math.isfinite(self.pressure_kpa):
-            raise ValueError(f"pressure_kpa must be > 0, got {self.pressure_kpa!r}")
-        if self.force_n < 0.0 or not math.isfinite(self.force_n):
-            raise ValueError(f"force_n must be >= 0, got {self.force_n!r}")
-        if self.trial < 1:
-            raise ValueError(f"trial must be >= 1, got {self.trial!r}")
 
 
 @dataclass(frozen=True)
@@ -79,32 +70,66 @@ class Aggregate:
     mean_force_n: float
     std_force_n: float
     n_trials: int
+    n_distinct_trials: int
 
 
-@dataclass(frozen=True)
+Aggregates = dict[tuple[str, float], Aggregate]
+
+
+@dataclass(frozen=True, eq=False)
 class SweepDataset:
-    records: tuple[MeasurementRecord, ...]
+    """Repeated force measurements as columns, one row per trial.
+
+    Row i is shape ``shape_names[shape_code[i]]`` at ``pressure_kpa[i]``,
+    trial ``trial[i]``, measured force ``force_n[i]``; ``shape_names`` are
+    distinct. Construction checks every row and names the first offending
+    value.
+    """
+
+    shape_names: tuple[str, ...]
+    shape_code: np.ndarray
+    pressure_kpa: np.ndarray
+    trial: np.ndarray
+    force_n: np.ndarray
     provenance: tuple[str, ...] = ()
 
-    def shape_ids(self) -> list[str]:
-        return sorted({r.shape_id for r in self.records})
+    def __post_init__(self) -> None:
+        names, code, p, t, f = (self.shape_names, self.shape_code, self.pressure_kpa,
+                                self.trial, self.force_n)
+        if len(set(names)) != len(names):
+            raise ValueError(f"shape_names must be distinct, got {names!r}")
+        if not len(code) == len(p) == len(t) == len(f):
+            raise ValueError("dataset columns differ in length")
+        reject(code, (code < 0) | (code >= len(names)), ValueError, "shape_code {} is out of range")
+        reject(p, (p <= 0.0) | ~np.isfinite(p), ValueError, "pressure_kpa must be > 0, got {!r}")
+        reject(f, (f < 0.0) | ~np.isfinite(f), ValueError, "force_n must be >= 0, got {!r}")
+        reject(t, t < 1, ValueError, "trial must be >= 1, got {!r}")
 
-    def aggregates(self) -> dict[tuple[str, float], Aggregate]:
-        """Per (shape_id, pressure) mean and sample std of the trial forces.
+    def aggregates(self) -> Aggregates:
+        """Per (shape_id, pressure) mean and sample std of the trial forces, in key order.
 
-        Sums use math.fsum, so the result is independent of record order.
+        One lexsort groups the rows. Sums use math.fsum over exactly computed
+        terms, so the result is independent of row order.
         """
-        groups: dict[tuple[str, float], list[float]] = {}
-        for r in self.records:
-            groups.setdefault((r.shape_id, r.pressure_kpa), []).append(r.force_n)
-        out: dict[tuple[str, float], Aggregate] = {}
-        for key in sorted(groups):
-            forces = sorted(groups[key])
+        if not len(self.force_n):
+            return {}
+        order = np.lexsort((self.trial, self.pressure_kpa, self.shape_code))
+        code, p, t, f = (
+            c[order] for c in (self.shape_code, self.pressure_kpa, self.trial, self.force_n)
+        )
+        bounds = np.flatnonzero((code[1:] != code[:-1]) | (p[1:] != p[:-1])) + 1
+        starts = np.concatenate(([0], bounds))
+        out: Aggregates = {}
+        for c, pk, trials, forces in zip(
+            code[starts].tolist(), p[starts].tolist(), np.split(t, bounds), np.split(f, bounds)
+        ):
+            forces = forces.tolist()
             n = len(forces)
             mean = math.fsum(forces) / n
-            var = math.fsum((f - mean) ** 2 for f in forces) / (n - 1) if n > 1 else 0.0
-            out[key] = Aggregate(mean, math.sqrt(var), n)
-        return out
+            var = math.fsum((x - mean) ** 2 for x in forces) / (n - 1) if n > 1 else 0.0
+            distinct = 1 + int(np.count_nonzero(trials[1:] != trials[:-1]))
+            out[(self.shape_names[c], pk)] = Aggregate(mean, math.sqrt(var), n, distinct)
+        return dict(sorted(out.items()))
 
 
 # --- protocol validation -------------------------------------------------
@@ -146,26 +171,41 @@ class OverCap:
         )
 
 
-Violation = MissingStep | TrialCountMismatch | OverCap
+@dataclass(frozen=True)
+class DuplicateTrial:
+    shape_id: str
+    pressure_kpa: float
+    rows: int
+    distinct_trials: int
+
+    def __str__(self) -> str:
+        return (
+            f"duplicate trial: shape {self.shape_id!r} at {self.pressure_kpa:g} kPa "
+            f"has {self.rows} rows but {self.distinct_trials} distinct trial ids"
+        )
+
+
+Violation = MissingStep | TrialCountMismatch | OverCap | DuplicateTrial
 
 
 def validate_sweep(
-    ds: SweepDataset,
+    aggregates: Aggregates,
     protocol: SweepProtocol,
     safety_cap_kpa: float = DEFAULT_SAFETY_CAP_KPA,
 ) -> list[Violation]:
-    """Check a dataset against the sweep protocol; violations are data, not errors."""
+    """Check a dataset's aggregates against the sweep protocol; violations are data, not errors."""
     violations: list[Violation] = []
-    aggregates = ds.aggregates()
     steps = protocol.pressures()
-    for shape_id in ds.shape_ids():
+    for shape_id in sorted({shape_id for shape_id, _ in aggregates}):
         for p in steps:
             agg = aggregates.get((shape_id, p))
             if agg is None:
                 violations.append(MissingStep(shape_id, p))
             elif agg.n_trials != protocol.trials:
                 violations.append(TrialCountMismatch(shape_id, p, protocol.trials, agg.n_trials))
-    for (shape_id, p), _agg in aggregates.items():
+    for (shape_id, p), agg in aggregates.items():
+        if agg.n_distinct_trials < agg.n_trials:
+            violations.append(DuplicateTrial(shape_id, p, agg.n_trials, agg.n_distinct_trials))
         if p > safety_cap_kpa:
             violations.append(OverCap(shape_id, p, safety_cap_kpa))
     return violations
@@ -175,11 +215,11 @@ def validate_sweep(
 
 
 def compute_loss_series(
-    ds: SweepDataset, shapes: dict[str, CrossSection]
+    aggregates: Aggregates, shapes: dict[str, CrossSection]
 ) -> dict[str, list[tuple[float, float]]]:
     """Per-shape (pressure, mean loss) series from the aggregate mean forces."""
     series: dict[str, list[tuple[float, float]]] = {}
-    for (shape_id, p), agg in ds.aggregates().items():
+    for (shape_id, p), agg in aggregates.items():
         if shape_id not in shapes:
             raise UnknownShapeError(shape_id)
         loss = loss_from_measurement(p, shapes[shape_id], agg.mean_force_n)
@@ -250,11 +290,11 @@ class ReportRow:
 
 
 def comparison_report(
-    ds: SweepDataset, shapes: dict[str, CrossSection], fitted: LossModel
+    aggregates: Aggregates, shapes: dict[str, CrossSection], fitted: LossModel
 ) -> list[ReportRow]:
-    """Ideal vs model-predicted vs mean measured force at every sweep step."""
+    """Ideal vs model-predicted vs mean measured force at every sweep aggregate."""
     rows: list[ReportRow] = []
-    for (shape_id, p), agg in ds.aggregates().items():
+    for (shape_id, p), agg in aggregates.items():
         if shape_id not in shapes:
             raise UnknownShapeError(shape_id)
         ideal = ideal_force(p, shapes[shape_id], safety_cap_kpa=math.inf)
@@ -279,36 +319,97 @@ def _fmt(x: float) -> str:
     return f"{x:.4f}"
 
 
+_CHUNK_ROWS = 4096
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer writes it inside a row of several fields."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
 def write_measurements_csv(ds: SweepDataset) -> str:
-    """Serialize a dataset; provenance goes first as '#'-prefixed comment lines."""
+    """Serialize a dataset; provenance goes first as '#'-prefixed comment lines.
+
+    Rows are formatted a chunk at a time, each distinct shape id and
+    pressure once.
+    """
     buf = io.StringIO()
     for line in ds.provenance:
         buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(MEASUREMENT_HEADER)
-    for r in ds.records:
-        writer.writerow([r.shape_id, _fmt(r.pressure_kpa), r.trial, _fmt(r.force_n)])
+    buf.write(",".join(MEASUREMENT_HEADER) + "\n")
+    ids = [_csv_field(name) for name in ds.shape_names]
+    for start in range(0, len(ds.force_n), _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        fields = zip(
+            map(ids.__getitem__, ds.shape_code[rows].tolist()),
+            format_each(ds.pressure_kpa[rows], "{:.4f}"),
+            map(str, ds.trial[rows].tolist()),
+            format_each(ds.force_n[rows], "{:.4f}"),
+        )
+        buf.write("\n".join(map(",".join, fields)) + "\n")
     return buf.getvalue()
 
 
+def _columns(rows: list[list[str]], codes: dict[str, int]) -> tuple[np.ndarray, ...]:
+    """Parsed columns of measurement rows; ``codes`` numbers each new shape id."""
+    shape_id, pressure, trial, force = zip(*rows, strict=True)
+    for name in set(shape_id).difference(codes):
+        codes[name] = len(codes)
+    n = len(rows)
+    return (
+        np.fromiter(map(codes.__getitem__, shape_id), np.intp, n),
+        np.fromiter(map(float, pressure), float, n),
+        np.fromiter(map(int, trial), np.int64, n),
+        np.fromiter(map(float, force), float, n),
+    )
+
+
+def _is_data(line: str) -> bool:
+    return not line.startswith("#") and bool(line.strip())
+
+
+def _row_error(lines: list[str], start: int, exc: Exception) -> ValueError:
+    """The first malformed row from data line ``start`` on, named by its line in the file."""
+    numbered = [n for n, line in enumerate(lines, 1) if _is_data(line)][start:]
+    reader = csv.reader(lines[n - 1] for n in numbered)
+    try:
+        for row in reader:
+            if len(row) != len(MEASUREMENT_HEADER):
+                raise ValueError(f"expected {len(MEASUREMENT_HEADER)} fields, got {len(row)}")
+            _columns([row], {})
+    except (ValueError, OverflowError, csv.Error) as bad:
+        return ValueError(f"measurement CSV line {numbered[reader.line_num - 1]}: {bad}")
+    return ValueError(f"bad measurement CSV: {exc}")
+
+
 def read_measurements_csv(text: str) -> SweepDataset:
-    provenance = []
-    data_lines = []
-    for line in text.splitlines():
-        if line.startswith("#"):
-            provenance.append(line.lstrip("# ").rstrip())
-        elif line.strip():
-            data_lines.append(line)
-    if not data_lines:
+    """Parse a measurement CSV, a chunk of rows at a time, into a checked dataset.
+
+    '#' lines are provenance; a malformed row raises ValueError naming its line.
+    """
+    lines = text.splitlines()
+    provenance = [line.lstrip("# ").rstrip() for line in lines if line.startswith("#")]
+    data = [line for line in lines if _is_data(line)]
+    if not data:
         raise ValueError("empty measurement CSV")
-    reader = csv.reader(data_lines)
-    header = next(reader)
+    reader = csv.reader(data)
+    codes: dict[str, int] = {}
+    parts = [(np.empty(0, np.intp), np.empty(0), np.empty(0, np.int64), np.empty(0))]
+    start = 0  # data lines read before the rows being parsed
+    try:
+        header = next(reader)
+        start = reader.line_num
+        while header == MEASUREMENT_HEADER and (rows := list(islice(reader, _CHUNK_ROWS))):
+            parts.append(_columns(rows, codes))
+            start = reader.line_num
+    except (ValueError, OverflowError, csv.Error) as exc:
+        raise _row_error(lines, start, exc) from None
     if header != MEASUREMENT_HEADER:
         raise ValueError(f"bad measurement header {header!r}, expected {MEASUREMENT_HEADER!r}")
-    records = tuple(
-        MeasurementRecord(row[0], float(row[1]), int(row[2]), float(row[3])) for row in reader
-    )
-    return SweepDataset(records, tuple(provenance))
+    columns = (np.concatenate(c) for c in zip(*parts))
+    return SweepDataset(tuple(codes), *columns, tuple(provenance))
 
 
 def write_report_csv(rows: list[ReportRow]) -> str:

@@ -1,0 +1,125 @@
+"""Per-record reference implementations of the sweep pipeline.
+
+These are the row-at-a-time rig generator, measurement CSV writer and
+reader, and aggregation that the columnar `SweepDataset` code replaced.
+Tests compare the columnar code against them, and build small datasets
+from rows with `dataset`.
+"""
+
+import csv
+import io
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from shellact.geometry import ideal_force
+from shellact.rig import _config_digest, precondition_cycles, true_loss
+from shellact.sweep import MEASUREMENT_HEADER, Aggregate, SweepDataset
+
+
+@dataclass(frozen=True)
+class MeasurementRecord:
+    shape_id: str
+    pressure_kpa: float
+    trial: int
+    force_n: float
+
+    def __post_init__(self) -> None:
+        if self.pressure_kpa <= 0.0 or not math.isfinite(self.pressure_kpa):
+            raise ValueError(f"pressure_kpa must be > 0, got {self.pressure_kpa!r}")
+        if self.force_n < 0.0 or not math.isfinite(self.force_n):
+            raise ValueError(f"force_n must be >= 0, got {self.force_n!r}")
+        if self.trial < 1:
+            raise ValueError(f"trial must be >= 1, got {self.trial!r}")
+
+
+def dataset(rows, provenance=()):
+    """A SweepDataset from (shape_id, pressure_kpa, trial, force_n) rows.
+
+    Shape names are numbered in first-seen order, not sorted.
+    """
+    rows = list(rows)
+    names = list(dict.fromkeys(row[0] for row in rows))
+    code = {name: i for i, name in enumerate(names)}
+    return SweepDataset(
+        tuple(names),
+        np.array([code[row[0]] for row in rows], dtype=np.intp),
+        np.array([row[1] for row in rows], dtype=float),
+        np.array([row[2] for row in rows], dtype=np.int64),
+        np.array([row[3] for row in rows], dtype=float),
+        tuple(provenance),
+    )
+
+
+def rows_of(ds):
+    """The (shape_id, pressure_kpa, trial, force_n) rows of a SweepDataset, as Python values."""
+    names = [ds.shape_names[c] for c in ds.shape_code.tolist()]
+    return list(zip(names, ds.pressure_kpa.tolist(), ds.trial.tolist(), ds.force_n.tolist()))
+
+
+def generate_records(cfg):
+    """The rig's sweep as records, one scalar noise draw per trial."""
+    rng = np.random.default_rng(cfg.seed)
+    records = []
+    for shape_id in sorted(cfg.ground_truth):
+        spec = cfg.ground_truth[shape_id]
+        for p in cfg.protocol.pressures():
+            ideal = ideal_force(p, spec.cross_section, safety_cap_kpa=spec.max_pressure_kpa)
+            clean = ideal * (1.0 - true_loss(cfg, spec, p))
+            for trial in range(1, cfg.protocol.trials + 1):
+                noise = rng.normal(0.0, cfg.noise_sigma_n) if cfg.noise_sigma_n > 0.0 else 0.0
+                records.append(MeasurementRecord(shape_id, p, trial, max(0.0, clean + noise)))
+    provenance = [
+        f"seed: {cfg.seed}",
+        f"config: {_config_digest(cfg)}",
+        f"conditioning_cycles: {cfg.conditioning_cycles}",
+        *precondition_cycles(cfg.conditioning_cycles),
+    ]
+    return records, provenance
+
+
+def write_records_csv(records, provenance):
+    buf = io.StringIO()
+    for line in provenance:
+        buf.write(f"# {line}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(MEASUREMENT_HEADER)
+    for r in records:
+        writer.writerow([r.shape_id, f"{r.pressure_kpa:.4f}", r.trial, f"{r.force_n:.4f}"])
+    return buf.getvalue()
+
+
+def read_records_csv(text):
+    provenance = []
+    data_lines = []
+    for line in text.splitlines():
+        if line.startswith("#"):
+            provenance.append(line.lstrip("# ").rstrip())
+        elif line.strip():
+            data_lines.append(line)
+    if not data_lines:
+        raise ValueError("empty measurement CSV")
+    reader = csv.reader(data_lines)
+    header = next(reader)
+    if header != MEASUREMENT_HEADER:
+        raise ValueError(f"bad measurement header {header!r}, expected {MEASUREMENT_HEADER!r}")
+    records = [
+        MeasurementRecord(row[0], float(row[1]), int(row[2]), float(row[3])) for row in reader
+    ]
+    return records, provenance
+
+
+def aggregate_records(records):
+    """Per (shape_id, pressure) Aggregate, sorted by key, as dict grouping computes it."""
+    groups = {}
+    for r in records:
+        groups.setdefault((r.shape_id, r.pressure_kpa), []).append(r)
+    out = {}
+    for key in sorted(groups):
+        forces = sorted(r.force_n for r in groups[key])
+        n = len(forces)
+        mean = math.fsum(forces) / n
+        var = math.fsum((f - mean) ** 2 for f in forces) / (n - 1) if n > 1 else 0.0
+        out[key] = Aggregate(mean, math.sqrt(var), n, len({r.trial for r in groups[key]}))
+    return out

@@ -59,7 +59,7 @@ def test_criterion_3_engineered_block_force():
 def test_criterion_4_fit_recovery():
     # noiseless: exact coefficient recovery
     cfg = RigConfig(ground_truth=GROUND_TRUTH, protocol=SweepProtocol(), seed=0)
-    series = compute_loss_series(generate_sweep(cfg), SHAPES)
+    series = compute_loss_series(generate_sweep(cfg).aggregates(), SHAPES)
     rep = fit_linear_loss(series["circle"], (30.0, 60.0))
     exact_ok = (
         abs(rep.slope_per_kpa + 0.005) <= 1e-10

@@ -1,7 +1,10 @@
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from shellact import configio
 from shellact.brace import default_layout, default_valgus_schedule
@@ -126,6 +129,106 @@ class TestGenerateAndFit:
 
     def test_missing_input_exits_2(self, tmp_path):
         assert run(["fit", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path)]) == 2
+
+
+@pytest.fixture(scope="module")
+def one_trial_csv(tmp_path_factory):
+    """A conforming one-trial sweep CSV and a directory for fuzzed runs."""
+    out = tmp_path_factory.mktemp("fuzz")
+    assert main(["generate", "--trials", "1", "--seed", "3", "--out", str(out)]) == 0
+    return (out / "measurements.csv").read_text(), out
+
+
+class TestErrorContract:
+    def test_zero_trials_exits_2(self, tmp_path, capsys):
+        assert run(["generate", "--trials", "0", "--out", str(tmp_path)]) == 2
+        assert "trials must be >= 1" in capsys.readouterr().err
+
+    def test_negative_pressure_exits_2(self, capsys):
+        assert run(["predict", "--pressures=-5"]) == 2
+        assert "pressure must be a finite non-negative kPa value" in capsys.readouterr().err
+
+    def test_short_row_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "short.csv"
+        bad.write_text("shape_id,pressure_kpa,trial,force_n\ncircle,30.0\n")
+        assert run(["fit", "--input", str(bad), "--out", str(tmp_path)]) == 2
+        assert "line 2: expected 4 fields, got 2" in capsys.readouterr().err
+
+    def test_force_too_large_to_fit_exits_2(self, one_trial_csv, capsys):
+        text, out = one_trial_csv
+        huge = re.sub(r"(?m)^(circle,45.0000,1,).*$", r"\g<1>1e300", text)
+        (out / "huge.csv").write_text(huge)
+        argv = ["fit", "--trials", "1", "--input", str(out / "huge.csv"), "--out", str(out)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+# field values for the CSV parser: numbers at the edges of what parses, then free text
+ODD_FIELDS = st.sampled_from(
+    ["", "nan", "-1", "0", "1e999", "99999999999999999999", "60.0001", '"a,b"', "circle"]
+) | st.text(max_size=8)
+
+
+def mutate(data, text, column_values):
+    """``text`` with 1-3 data rows changed: a random column gets a drawn value."""
+    lines = text.splitlines()
+    first_row = lines.index("shape_id,pressure_kpa,trial,force_n") + 1
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(first_row, len(lines) - 1))
+        fields = lines[i].split(",")
+        column, values = data.draw(st.sampled_from(column_values))
+        fields[column] = data.draw(values)
+        lines[i] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+FUZZ = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+class TestFuzz:
+    """No input ends in an escaping exception; every exit code is 0, 1 or 2."""
+
+    @FUZZ
+    @given(data=st.binary(max_size=400))
+    def test_fit_on_random_bytes(self, one_trial_csv, data):
+        _, out = one_trial_csv
+        (out / "fuzz.csv").write_bytes(data)
+        assert run(["fit", "--input", str(out / "fuzz.csv"), "--out", str(out)]) in (0, 1, 2)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_fit_on_a_sweep_with_odd_fields(self, one_trial_csv, data):
+        text, out = one_trial_csv
+        (out / "fuzz.csv").write_text(mutate(data, text, [(j, ODD_FIELDS) for j in range(4)]))
+        argv = ["fit", "--trials", "1", "--input", str(out / "fuzz.csv"), "--out", str(out)]
+        assert run(argv) in (0, 1, 2)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_fit_on_a_sweep_with_odd_forces(self, one_trial_csv, data):
+        text, out = one_trial_csv
+        forces = st.floats(min_value=0.0).map(repr)
+        (out / "fuzz.csv").write_text(mutate(data, text, [(3, forces)]))
+        argv = ["fit", "--trials", "1", "--input", str(out / "fuzz.csv"), "--out", str(out)]
+        assert run(argv) in (0, 1, 2)
+
+    @FUZZ
+    @given(
+        pressures=st.lists(st.floats() | st.integers(-100, 100), max_size=4).map(
+            lambda xs: ",".join(map(str, xs))
+        ) | st.text(max_size=10)
+    )
+    def test_predict_on_random_pressures(self, pressures):
+        assert run(["predict", f"--pressures={pressures}"]) in (0, 1, 2)
+
+    @FUZZ
+    @given(trials=st.integers(-3, 4))
+    def test_generate_on_random_trials(self, one_trial_csv, trials):
+        _, out = one_trial_csv
+        code = run(["generate", "--trials", str(trials), "--out", str(out / "gen")])
+        assert code == (0 if trials >= 1 else 2)
 
 
 class TestSimulate:

@@ -1,8 +1,8 @@
 """Byte identity of the default CLI artifacts.
 
-The digests were taken from the per-step simulation and scalar chart code
-that the columnar versions replaced; any change to an artifact's bytes
-must come with a deliberate update here.
+The digests were taken from the per-step simulation, scalar chart and
+per-record sweep code that the columnar versions replaced; any change to
+an artifact's bytes must come with a deliberate update here.
 """
 
 import hashlib
@@ -27,6 +27,12 @@ FIT = {
     "comparison.csv": "de6f0928fcb3ba27b60e23efe7d04243c2045ed407f0bfafb938077e39eff75e",
     "loss_vs_pressure.svg": "d4ff5e77d35ac4bf88e77af74dc7835b3e6b1af0fb7a9bc4c93f4890a65488aa",
 }
+GENERATE_200_TRIALS_SEED_7 = {
+    "measurements.csv": "625b61bef936c37553e3f96f72bb172f01580bc9a6fdfbf7a14087f76f5b0f26",
+}
+GENERATE_NOISELESS = {
+    "measurements.csv": "bd481a1f28bbbb52b7558d8427b5aa79c40756416ee95f79fab9993e04900e04",
+}
 PREDICT = {"predict.csv": "61467e7b79f709afa37d472b701a63396501e6ac242c5bf2cfda83773e989ba2"}
 GEOMETRY = {"geometry.csv": "5f819dfd8fc855387ca9460a635e8b4ea6a8efce60334145be9823f9910e3d22"}
 
@@ -42,8 +48,11 @@ def digests(out_dir, names):
         (["simulate", "--dt", "0.001", "--cycles", "10"], SIMULATE_10_CYCLES),
         (["predict", "--pressures", "10,30,50,60"], PREDICT),
         (["geometry", "--radius", "25"], GEOMETRY),
+        (["generate", "--trials", "200", "--seed", "7"], GENERATE_200_TRIALS_SEED_7),
+        (["generate", "--noise-sigma", "0"], GENERATE_NOISELESS),
     ],
-    ids=["simulate", "simulate-10-cycles", "predict", "geometry"],
+    ids=["simulate", "simulate-10-cycles", "predict", "geometry", "generate-200-trials",
+         "generate-noiseless"],
 )
 def test_artifact_digests(tmp_path, capsys, argv, expected):
     assert main([*argv, "--out", str(tmp_path)]) == 0

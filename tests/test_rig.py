@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from shellact.rig import (
     true_loss,
 )
 from shellact.sweep import SweepProtocol, compute_loss_series, fit_linear_loss
+from sweep_reference import generate_records, rows_of
 
 SHAPES = dict(zip(["circle", "triangle", "square", "rectangle"], equal_area_family(25.0, 2.0)))
 GROUND_TRUTH = {sid: balloon_spec(cs) for sid, cs in SHAPES.items()}
@@ -38,14 +41,14 @@ class TestDeterminism:
 class TestZeroNoise:
     def test_records_on_model_above_knee(self):
         ds = generate_sweep(make_cfg())
-        for r in ds.records:
-            if r.pressure_kpa >= 30.0:
-                expected = predicted_force(r.pressure_kpa, GROUND_TRUTH[r.shape_id])
-                assert r.force_n == pytest.approx(expected, abs=1e-12)
+        for shape_id, p, _trial, force in rows_of(ds):
+            if p >= 30.0:
+                expected = predicted_force(p, GROUND_TRUTH[shape_id])
+                assert force == pytest.approx(expected, abs=1e-12)
 
     def test_fit_recovers_ground_truth(self):
         ds = generate_sweep(make_cfg())
-        series = compute_loss_series(ds, SHAPES)
+        series = compute_loss_series(ds.aggregates(), SHAPES)
         for sid in SHAPES:
             rep = fit_linear_loss(series[sid], (30.0, 60.0))
             assert rep.slope_per_kpa == pytest.approx(-0.005, abs=1e-10)
@@ -72,6 +75,20 @@ class TestPreKneeRegime:
         assert true_loss(cfg, GROUND_TRUTH["circle"], 5.0) == pytest.approx(0.5)
 
 
+class TestColumns:
+    def test_row_order_and_values_match_per_record_generator(self):
+        cfg = make_cfg(noise_sigma_n=0.5, seed=11, protocol=SweepProtocol(trials=4))
+        records, provenance = generate_records(cfg)
+        ds = generate_sweep(cfg)
+        assert rows_of(ds) == [(r.shape_id, r.pressure_kpa, r.trial, r.force_n) for r in records]
+        assert ds.provenance == tuple(provenance)
+
+    def test_vector_draw_equals_scalar_draws(self):
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        vector = a.normal(0.0, 0.7, 10_000).tolist()
+        assert vector == [b.normal(0.0, 0.7) for _ in range(10_000)]
+
+
 class TestNoise:
     def test_residual_std_converges(self):
         # 10^4 trials at one pressure: empirical sigma within 5% of configured
@@ -83,7 +100,7 @@ class TestNoise:
             seed=9,
         )
         ds = generate_sweep(cfg)
-        forces = np.array([r.force_n for r in ds.records])
+        forces = ds.force_n
         assert abs(forces.std(ddof=1) - sigma) / sigma < 0.05
 
     def test_noisy_fit_recovery(self):
@@ -91,7 +108,7 @@ class TestNoise:
         hits = 0
         for seed in range(50):
             cfg = make_cfg(noise_sigma_n=0.01 * 63.8, seed=seed)
-            series = compute_loss_series(generate_sweep(cfg), SHAPES)
+            series = compute_loss_series(generate_sweep(cfg).aggregates(), SHAPES)
             rep = fit_linear_loss(series["circle"], (30.0, 60.0))
             if abs(rep.slope_per_kpa + 0.005) <= 8e-4:
                 hits += 1
@@ -99,7 +116,9 @@ class TestNoise:
 
     def test_forces_never_negative(self):
         cfg = make_cfg(noise_sigma_n=5.0, seed=3)
-        assert all(r.force_n >= 0.0 for r in generate_sweep(cfg).records)
+        forces = generate_sweep(cfg).force_n
+        assert (forces > 0.0).any() and (forces == 0.0).any()
+        assert all(f >= 0.0 and math.copysign(1.0, f) == 1.0 for f in forces.tolist())
 
 
 class TestProvenance:

@@ -3,12 +3,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shellact.geometry import Circle, equal_area_family, ideal_force
 from shellact.loss import BALLOON_LOSS, balloon_spec, loss_fraction, predicted_force
+from shellact.rig import RigConfig, generate_sweep
 from shellact.sweep import (
+    DuplicateTrial,
     FitError,
-    MeasurementRecord,
     MissingStep,
     OverCap,
     SweepDataset,
@@ -23,6 +26,14 @@ from shellact.sweep import (
     write_measurements_csv,
     write_report_csv,
 )
+from sweep_reference import (
+    aggregate_records,
+    dataset,
+    generate_records,
+    read_records_csv,
+    rows_of,
+    write_records_csv,
+)
 
 SHAPES = dict(zip(["circle", "triangle", "square", "rectangle"], equal_area_family(25.0, 2.0)))
 
@@ -32,13 +43,13 @@ EXACT_POINTS = [(p, -0.005 * p + 0.522) for p in (30.0, 35.0, 40.0, 45.0, 50.0, 
 
 def make_clean_dataset(trials=3):
     spec_by_shape = {sid: balloon_spec(cs) for sid, cs in SHAPES.items()}
-    records = []
+    rows = []
     for sid, spec in spec_by_shape.items():
         for p in SweepProtocol(trials=trials).pressures():
             force = predicted_force(p, spec)
             for t in range(1, trials + 1):
-                records.append(MeasurementRecord(sid, p, t, force))
-    return SweepDataset(tuple(records))
+                rows.append((sid, p, t, force))
+    return dataset(rows)
 
 
 class TestSweepProtocol:
@@ -55,75 +66,102 @@ class TestSweepProtocol:
 
 class TestAggregation:
     def test_mean_is_arithmetic_mean(self):
-        ds = SweepDataset(
-            (
-                MeasurementRecord("c", 30.0, 1, 10.0),
-                MeasurementRecord("c", 30.0, 2, 11.0),
-                MeasurementRecord("c", 30.0, 3, 12.0),
-            )
-        )
+        ds = dataset([("c", 30.0, 1, 10.0), ("c", 30.0, 2, 11.0), ("c", 30.0, 3, 12.0)])
         agg = ds.aggregates()[("c", 30.0)]
         assert agg.mean_force_n == pytest.approx(11.0)
         assert agg.std_force_n == pytest.approx(1.0)
         assert agg.n_trials == 3
+        assert agg.n_distinct_trials == 3
+
+    def test_empty_dataset_has_no_aggregates(self):
+        assert dataset([]).aggregates() == {}
 
     def test_permutation_invariance(self):
         ds = make_clean_dataset()
-        records = list(ds.records)
+        rows = rows_of(ds)
         rng = random.Random(7)
         for _ in range(5):
-            rng.shuffle(records)
-            shuffled = SweepDataset(tuple(records))
+            rng.shuffle(rows)
+            shuffled = dataset(rows)
             assert shuffled.aggregates() == ds.aggregates()
-            series = compute_loss_series(shuffled, SHAPES)
+            series = compute_loss_series(shuffled.aggregates(), SHAPES)
             rep = fit_linear_loss(series["circle"])
-            rep0 = fit_linear_loss(compute_loss_series(ds, SHAPES)["circle"])
+            rep0 = fit_linear_loss(compute_loss_series(ds.aggregates(), SHAPES)["circle"])
             assert rep == rep0
 
     def test_record_invariants(self):
-        with pytest.raises(ValueError):
-            MeasurementRecord("c", 0.0, 1, 5.0)
-        with pytest.raises(ValueError):
-            MeasurementRecord("c", 30.0, 0, 5.0)
-        with pytest.raises(ValueError):
-            MeasurementRecord("c", 30.0, 1, -5.0)
+        with pytest.raises(ValueError, match=r"^pressure_kpa must be > 0, got 0.0$"):
+            dataset([("c", 0.0, 1, 5.0)])
+        with pytest.raises(ValueError, match=r"^trial must be >= 1, got 0$"):
+            dataset([("c", 30.0, 0, 5.0)])
+        with pytest.raises(ValueError, match=r"^force_n must be >= 0, got -5.0$"):
+            dataset([("c", 30.0, 1, -5.0)])
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (("c", math.nan, 1, 5.0), "pressure_kpa must be > 0, got nan"),
+            (("c", math.inf, 1, 5.0), "pressure_kpa must be > 0, got inf"),
+            (("c", -1.0, 1, 5.0), "pressure_kpa must be > 0, got -1.0"),
+            (("c", 30.0, 1, math.nan), "force_n must be >= 0, got nan"),
+            (("c", 30.0, 1, math.inf), "force_n must be >= 0, got inf"),
+            (("c", 30.0, -2, 5.0), "trial must be >= 1, got -2"),
+        ],
+    )
+    def test_column_checks_name_the_first_offending_value(self, row, message):
+        good = ("c", 30.0, 1, 5.0)
+        with pytest.raises(ValueError) as info:
+            dataset([good, row, good, (row[0], 2 * row[1], row[2] - 1, 2 * row[3])])
+        assert str(info.value) == message
+
+    def test_malformed_columns_rejected(self):
+        one = (np.array([0]), np.array([30.0]), np.array([1]), np.array([5.0]))
+        SweepDataset(("c",), *one)
+        with pytest.raises(ValueError, match="distinct"):
+            SweepDataset(("c", "c"), *one)
+        with pytest.raises(ValueError, match="differ in length"):
+            SweepDataset(("c",), one[0], one[1], np.array([1, 2]), one[3])
+        with pytest.raises(ValueError, match="shape_code 1 is out of range"):
+            SweepDataset(("c",), np.array([1]), *one[1:])
 
 
 class TestValidateSweep:
     def test_conformant_dataset(self):
-        assert validate_sweep(make_clean_dataset(), SweepProtocol()) == []
+        assert validate_sweep(make_clean_dataset().aggregates(), SweepProtocol()) == []
 
     def test_missing_step(self):
-        ds = make_clean_dataset()
-        filtered = SweepDataset(
-            tuple(r for r in ds.records if not (r.shape_id == "square" and r.pressure_kpa == 45.0))
-        )
-        violations = validate_sweep(filtered, SweepProtocol())
+        rows = rows_of(make_clean_dataset())
+        filtered = dataset(r for r in rows if not (r[0] == "square" and r[1] == 45.0))
+        violations = validate_sweep(filtered.aggregates(), SweepProtocol())
         assert violations == [MissingStep("square", 45.0)]
 
     def test_trial_count_mismatch(self):
-        ds = make_clean_dataset()
-        dropped = SweepDataset(
-            tuple(
-                r
-                for r in ds.records
-                if not (r.shape_id == "circle" and r.pressure_kpa == 30.0 and r.trial == 3)
-            )
-        )
-        violations = validate_sweep(dropped, SweepProtocol())
+        rows = rows_of(make_clean_dataset())
+        dropped = dataset(r for r in rows if not (r[0] == "circle" and r[1] == 30.0 and r[2] == 3))
+        violations = validate_sweep(dropped.aggregates(), SweepProtocol())
         assert violations == [TrialCountMismatch("circle", 30.0, 3, 2)]
 
-    def test_over_cap(self):
-        ds = SweepDataset(
-            tuple(MeasurementRecord("c", 70.0, t, 50.0) for t in (1, 2, 3))
+    def test_duplicate_trial(self):
+        # two trial-1 rows and no trial 2: the row count matches the protocol
+        rows = rows_of(make_clean_dataset())
+        twice = dataset(
+            (sid, p, 1 if (sid, p, t) == ("circle", 30.0, 2) else t, f) for sid, p, t, f in rows
         )
-        violations = validate_sweep(ds, SweepProtocol(start_kpa=70.0, stop_kpa=70.0))
+        violations = validate_sweep(twice.aggregates(), SweepProtocol())
+        assert violations == [DuplicateTrial("circle", 30.0, 3, 2)]
+        assert str(violations[0]) == (
+            "duplicate trial: shape 'circle' at 30 kPa has 3 rows but 2 distinct trial ids"
+        )
+
+    def test_over_cap(self):
+        ds = dataset(("c", 70.0, t, 50.0) for t in (1, 2, 3))
+        violations = validate_sweep(ds.aggregates(), SweepProtocol(start_kpa=70.0, stop_kpa=70.0))
         assert OverCap("c", 70.0, 60.0) in violations
 
 
 class TestLossSeries:
     def test_noiseless_round_trip(self):
-        series = compute_loss_series(make_clean_dataset(), SHAPES)
+        series = compute_loss_series(make_clean_dataset().aggregates(), SHAPES)
         for sid, pts in series.items():
             model = BALLOON_LOSS
             for p, loss in pts:
@@ -131,21 +169,16 @@ class TestLossSeries:
                 assert loss == pytest.approx(expected, abs=1e-12)
 
     def test_paper_endpoint_values(self):
-        ds = SweepDataset(
-            (
-                MeasurementRecord("circle", 60.0, 1, 91.66),
-                MeasurementRecord("circle", 30.0, 1, 36.99),
-            )
-        )
-        series = dict(compute_loss_series(ds, {"circle": Circle(25.0)}))
+        ds = dataset([("circle", 60.0, 1, 91.66), ("circle", 30.0, 1, 36.99)])
+        series = dict(compute_loss_series(ds.aggregates(), {"circle": Circle(25.0)}))
         by_p = dict(series["circle"])
         assert by_p[60.0] == pytest.approx(0.222, abs=1e-4)
         assert by_p[30.0] == pytest.approx(0.372, abs=1e-4)
 
     def test_unknown_shape(self):
-        ds = SweepDataset((MeasurementRecord("mystery", 30.0, 1, 10.0),))
+        ds = dataset([("mystery", 30.0, 1, 10.0)])
         with pytest.raises(UnknownShapeError):
-            compute_loss_series(ds, SHAPES)
+            compute_loss_series(ds.aggregates(), SHAPES)
 
 
 def sse(points, slope, intercept):
@@ -245,7 +278,7 @@ class TestFitLinearLoss:
 class TestComparisonReport:
     def test_reference_row_values(self):
         ds = make_clean_dataset()
-        rows = comparison_report(ds, SHAPES, BALLOON_LOSS)
+        rows = comparison_report(ds.aggregates(), SHAPES, BALLOON_LOSS)
         at60 = next(r for r in rows if r.shape_id == "circle" and r.pressure_kpa == 60.0)
         assert at60.ideal_force_n == pytest.approx(117.81, abs=0.01)
         assert at60.predicted_force_n == pytest.approx(91.66, abs=0.01)
@@ -260,8 +293,8 @@ class TestComparisonReport:
             spec = balloon_spec(cs)
             for p in (30.0, 40.0, 50.0, 60.0):
                 loss = loss_fraction(p, spec.loss_model).fraction + offsets[sid]
-                records.append(MeasurementRecord(sid, p, 1, ideal_force(p, cs) * (1 - loss)))
-        rows = comparison_report(SweepDataset(tuple(records)), SHAPES, BALLOON_LOSS)
+                records.append((sid, p, 1, ideal_force(p, cs) * (1 - loss)))
+        rows = comparison_report(dataset(records).aggregates(), SHAPES, BALLOON_LOSS)
         by = {(r.shape_id, r.pressure_kpa): r.loss_fraction for r in rows}
         for p in (30.0, 40.0, 50.0, 60.0):
             assert by[("square", p)] <= by[("circle", p)] <= by[("triangle", p)]
@@ -273,20 +306,20 @@ class TestCsvRoundTrip:
         ds = make_clean_dataset()
         text = write_measurements_csv(ds)
         back = read_measurements_csv(text)
-        assert back.shape_ids() == ds.shape_ids()
-        assert len(back.records) == len(ds.records)
+        assert sorted(back.shape_names) == sorted(ds.shape_names)
+        assert len(back.force_n) == len(ds.force_n)
         # forces survive to 4 decimal places
-        for a, b in zip(ds.records, back.records):
-            assert b.force_n == pytest.approx(a.force_n, abs=5e-5)
+        for a, b in zip(rows_of(ds), rows_of(back)):
+            assert b[3] == pytest.approx(a[3], abs=5e-5)
 
     def test_provenance_comments_preserved(self):
-        ds = SweepDataset((MeasurementRecord("c", 30.0, 1, 10.0),), ("seed: 42",))
+        ds = dataset([("c", 30.0, 1, 10.0)], ("seed: 42",))
         text = write_measurements_csv(ds)
         assert text.startswith("# seed: 42\n")
         assert read_measurements_csv(text).provenance == ("seed: 42",)
 
     def test_report_csv_header(self):
-        rows = comparison_report(make_clean_dataset(), SHAPES, BALLOON_LOSS)
+        rows = comparison_report(make_clean_dataset().aggregates(), SHAPES, BALLOON_LOSS)
         text = write_report_csv(rows)
         assert text.splitlines()[0] == (
             "shape_id,pressure_kpa,ideal_force_n,predicted_force_n,"
@@ -296,3 +329,80 @@ class TestCsvRoundTrip:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
             read_measurements_csv("a,b,c\n1,2,3\n")
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("circle,30.0\n", "line 5: expected 4 fields, got 2"),
+            ("circle,30.0,1,2.0,9\n", "line 5: expected 4 fields, got 5"),
+            (
+                "circle,30.0,1,2.0\n\n# note\ncircle,x,2,2.0\n",
+                "line 8: could not convert string to float: 'x'",
+            ),
+            ("circle,30.0,1.5,2.0\n", "line 5: invalid literal for int() with base 10: '1.5'"),
+            ("circle,30.0,99999999999999999999,2.0\n", "line 5: Python int too large"),
+        ],
+    )
+    def test_malformed_row_names_its_line(self, body, message):
+        text = "# seed: 1\n\nshape_id,pressure_kpa,trial,force_n\ncircle,30.0,1,2.0\n" + body
+        with pytest.raises(ValueError) as info:
+            read_measurements_csv(text)
+        assert str(info.value).startswith(f"measurement CSV {message}")
+
+    def test_malformed_row_in_a_later_chunk(self):
+        rows = [f"c,30.0,{t},2.0" for t in range(1, 10_001)]
+        rows[9_000] = "c,30.0"
+        text = "shape_id,pressure_kpa,trial,force_n\n" + "\n".join(rows) + "\n"
+        with pytest.raises(ValueError, match="^measurement CSV line 9002: expected 4 fields"):
+            read_measurements_csv(text)
+
+    def test_row_values_checked_after_parsing(self):
+        with pytest.raises(ValueError, match=r"^pressure_kpa must be > 0, got -1.0$"):
+            read_measurements_csv("shape_id,pressure_kpa,trial,force_n\nc,-1,1,2\n")
+
+
+def rig_config(ids, trials, seed, sigma):
+    family = list(SHAPES.values())
+    return RigConfig(
+        ground_truth={sid: balloon_spec(family[i % len(family)]) for i, sid in enumerate(ids)},
+        protocol=SweepProtocol(trials=trials),
+        noise_sigma_n=sigma,
+        seed=seed,
+    )
+
+
+def assert_matches_reference(cfg):
+    """Columnar generate, write, read and aggregate equal the per-record reference."""
+    records, provenance = generate_records(cfg)
+    text = write_records_csv(records, provenance)
+    assert write_measurements_csv(generate_sweep(cfg)) == text
+    back = read_measurements_csv(text)
+    ref_records, ref_provenance = read_records_csv(text)
+    assert back.provenance == tuple(ref_provenance)
+    aggregates = back.aggregates()
+    assert aggregates == aggregate_records(ref_records)
+    for (sid, p), agg in aggregates.items():
+        assert (type(sid), type(p)) == (str, float)
+        assert [type(v) for v in vars(agg).values()] == [float, float, int, int]
+
+
+# shape ids that need CSV quoting, besides free text without line breaks
+SHAPE_ID = st.sampled_from(["circle", "a,b", 'q"x', "", " pad ", "#x"]) | st.text(
+    st.characters(blacklist_categories=("Cs", "Zl", "Zp", "Cc")), max_size=5
+)
+
+
+class TestAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ids=st.lists(SHAPE_ID, min_size=1, max_size=4, unique=True),
+        trials=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        sigma=st.just(0.0) | st.floats(0.0, 80.0),
+    )
+    def test_columnar_pipeline_equals_per_record_code(self, ids, trials, seed, sigma):
+        assert_matches_reference(rig_config(ids, trials, seed, sigma))
+
+    def test_rows_span_several_chunks(self):
+        # 4 shapes x 12 steps x 100 trials = 4800 rows, more than one chunk
+        assert_matches_reference(rig_config(list(SHAPES), 100, 7, 0.6))
