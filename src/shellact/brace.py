@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 
-import numpy as np
-
+from ._lazy import np
 from .geometry import reject
 from .loss import ActuatorSpec, predicted_force
 from .svgchart import format_each

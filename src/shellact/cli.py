@@ -18,9 +18,8 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import brace, configio, rig, sweep
+from ._lazy import np
 from .geometry import CrossSection, area, equal_area_family, ideal_force
 from .loss import balloon_spec, loss_fraction, predicted_force
 from .svgchart import line_chart_svg
@@ -145,7 +144,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     series = sweep.compute_loss_series(aggregates, shapes)
     fit_lines = ["shape_id,window_min_kpa,window_max_kpa,slope_per_kpa,intercept,r_squared"]
     for shape_id in sorted(series):
-        rep = sweep.fit_linear_loss(series[shape_id], window)
+        rep = sweep.fit_linear_loss(series[shape_id], window, label=f"shape {shape_id!r}")
         fit_lines.append(
             f"{shape_id},{_fmt(window[0])},{_fmt(window[1])},"
             f"{rep.slope_per_kpa:.6f},{rep.intercept:.6f},{_fmt(rep.r_squared)}"

@@ -29,11 +29,11 @@ schedule file: ``phases: [{name, fraction, pressures: {<id>: kPa}}, ...]``
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import asdict, fields
 from typing import Any
 
-import yaml
-
+from ._lazy import yaml
 from .brace import (
     ActuatorPlacement,
     BraceLayout,
@@ -80,10 +80,26 @@ def _name_of(table: dict[str, type], obj: Any) -> str:
     return next(name for name, cls in table.items() if isinstance(obj, cls))
 
 
+def _expect(value: Any, kind: type, what: str) -> Any:
+    """``value`` if it is a ``kind`` (dict or list) as YAML loads it."""
+    if not isinstance(value, kind):
+        noun = "mapping" if kind is dict else "list"
+        raise ConfigError(f"{what} must be a {noun}, got {value!r}")
+    return value
+
+
+def _number(value: Any, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float range
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+
+
 def cross_section_from_dict(d: dict[str, Any]) -> CrossSection:
+    _expect(d, dict, "cross-section")
     try:
         cls = _lookup(_CROSS_SECTIONS, d["kind"], "cross-section kind")
-        return cls(*(float(d[f.name]) for f in fields(cls)))
+        return cls(*(_number(d[f.name], f.name) for f in fields(cls)))
     except KeyError as exc:
         raise ConfigError(f"cross-section config missing key {exc}") from exc
 
@@ -93,10 +109,12 @@ def cross_section_to_dict(cs: CrossSection) -> dict[str, Any]:
 
 
 def loss_model_from_dict(d: dict[str, Any]) -> LossModel:
+    _expect(d, dict, "loss model")
     try:
         cls = _lookup(_LOSS_MODELS, d["form"], "loss model form")
-        rng = tuple(float(x) for x in d["valid_range_kpa"])
-        return cls(*(float(d[f.name]) for f in fields(cls)[:-1]), rng)
+        bounds = _expect(d["valid_range_kpa"], list, "valid_range_kpa")
+        rng = tuple(_number(x, "valid_range_kpa") for x in bounds)
+        return cls(*(_number(d[f.name], f.name) for f in fields(cls)[:-1]), rng)
     except KeyError as exc:
         raise ConfigError(f"loss model config missing key {exc}") from exc
 
@@ -107,12 +125,13 @@ def loss_model_to_dict(m: LossModel) -> dict[str, Any]:
 
 
 def actuator_spec_from_dict(d: dict[str, Any]) -> ActuatorSpec:
+    _expect(d, dict, "actuator spec")
     try:
         return ActuatorSpec(
             cross_section=cross_section_from_dict(d["cross_section"]),
             loss_model=loss_model_from_dict(d["loss_model"]),
-            max_pressure_kpa=float(d.get("max_pressure_kpa", 60.0)),
-            stroke_mm=float(d.get("stroke_mm", 5.0)),
+            max_pressure_kpa=_number(d.get("max_pressure_kpa", 60.0), "max_pressure_kpa"),
+            stroke_mm=_number(d.get("stroke_mm", 5.0), "stroke_mm"),
             allow_extrapolation=bool(d.get("allow_extrapolation", False)),
         )
     except KeyError as exc:
@@ -127,48 +146,30 @@ def actuator_spec_to_dict(spec: ActuatorSpec) -> dict[str, Any]:
     }
 
 
-def load_yaml(path: str) -> dict[str, Any]:
-    with open(path, encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
-    return data
-
-
-def load_actuator_spec(path: str) -> ActuatorSpec:
-    return actuator_spec_from_dict(load_yaml(path))
-
-
-def load_shapes(path: str) -> dict[str, CrossSection]:
-    data = load_yaml(path)
-    shapes = data.get("shapes")
+def shapes_from_dict(d: dict[str, Any]) -> dict[str, CrossSection]:
+    shapes = d.get("shapes")
     if not isinstance(shapes, dict) or not shapes:
-        raise ConfigError(f"{path}: expected a non-empty 'shapes' mapping")
-    return {str(sid): cross_section_from_dict(d) for sid, d in shapes.items()}
+        raise ConfigError("expected a non-empty 'shapes' mapping")
+    return {str(sid): cross_section_from_dict(cs) for sid, cs in shapes.items()}
 
 
-def load_layout(path: str) -> BraceLayout:
-    data = load_yaml(path)
-    entries = data.get("actuators")
-    if not isinstance(entries, list):
-        raise ConfigError(f"{path}: expected an 'actuators' list")
+def layout_from_dict(d: dict[str, Any]) -> BraceLayout:
     placements = []
-    for d in entries:
+    for entry in _expect(d.get("actuators"), list, "'actuators'"):
+        _expect(entry, dict, "actuator entry")
         try:
             placements.append(
                 ActuatorPlacement(
-                    actuator_id=str(d["id"]),
-                    site=Site(d["site"]),
-                    side=Side(d["side"]),
-                    spec=actuator_spec_from_dict(d["spec"]),
-                    lever_arm_m=float(d["lever_arm_m"]),
-                    direction=_direction(d["direction"]),
+                    actuator_id=str(entry["id"]),
+                    site=Site(entry["site"]),
+                    side=Side(entry["side"]),
+                    spec=actuator_spec_from_dict(entry["spec"]),
+                    lever_arm_m=_number(entry["lever_arm_m"], "lever_arm_m"),
+                    direction=_direction(entry["direction"]),
                 )
             )
         except KeyError as exc:
-            raise ConfigError(f"{path}: actuator entry missing key {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+            raise ConfigError(f"actuator entry missing key {exc}") from exc
     return BraceLayout(tuple(placements))
 
 
@@ -176,19 +177,54 @@ def _direction(name: str) -> ForceDirection:
     return _lookup(_DIRECTIONS, name, "force direction")
 
 
-def load_schedule(path: str) -> GaitSchedule:
-    data = load_yaml(path)
-    entries = data.get("phases")
-    if not isinstance(entries, list):
-        raise ConfigError(f"{path}: expected a 'phases' list")
+def schedule_from_dict(d: dict[str, Any]) -> GaitSchedule:
     phases = []
-    for d in entries:
+    for entry in _expect(d.get("phases"), list, "'phases'"):
+        _expect(entry, dict, "phase entry")
         try:
-            pressures = {str(k): float(v) for k, v in (d.get("pressures") or {}).items()}
-            phases.append(GaitPhase(str(d["name"]), float(d["fraction"]), pressures))
+            pressures = _expect(entry.get("pressures") or {}, dict, "phase pressures")
+            kpa = {str(k): _number(v, f"pressure of {k!r}") for k, v in pressures.items()}
+            fraction = _number(entry["fraction"], "fraction")
+            phases.append(GaitPhase(str(entry["name"]), fraction, kpa))
         except KeyError as exc:
-            raise ConfigError(f"{path}: phase entry missing key {exc}") from exc
+            raise ConfigError(f"phase entry missing key {exc}") from exc
     return GaitSchedule(tuple(phases))
+
+
+def load_yaml(path: str) -> dict[str, Any]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = yaml.safe_load(fh)
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: bad UTF-8 or a bad date
+        raise ConfigError(f"{path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: top level must be a mapping")
+    return data
+
+
+def _load(path: str, from_dict: Callable[[dict[str, Any]], Any]) -> Any:
+    """``from_dict`` of a YAML file's top-level mapping; a ValueError names the file."""
+    data = load_yaml(path)
+    try:
+        return from_dict(data)
+    except ValueError as exc:  # ConfigError and the checks of the built dataclasses
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def load_actuator_spec(path: str) -> ActuatorSpec:
+    return _load(path, actuator_spec_from_dict)
+
+
+def load_shapes(path: str) -> dict[str, CrossSection]:
+    return _load(path, shapes_from_dict)
+
+
+def load_layout(path: str) -> BraceLayout:
+    return _load(path, layout_from_dict)
+
+
+def load_schedule(path: str) -> GaitSchedule:
+    return _load(path, schedule_from_dict)
 
 
 def layout_to_dict(layout: BraceLayout) -> dict[str, Any]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-import numpy as np
+from ._lazy import np
 
 #: Default supply-pressure cap in kPa. The characterization rig uses 3D
 #: printed parts that are not rated beyond this.
@@ -39,7 +39,7 @@ def reject(values, bad, error: type[Exception], message: str, *args) -> None:
     ``values`` is a float with a bool flag or an array with a bool mask of
     its shape, so one check serves scalar and array callers.
     """
-    if isinstance(bad, np.ndarray):
+    if getattr(bad, "ndim", 0):
         if bad.any():
             raise error(message.format(values[bad][0].item(), *args))
     elif bad:
@@ -109,20 +109,22 @@ class RoundedRectangle:
 CrossSection = Circle | EquilateralTriangle | Square | Rectangle | RoundedRectangle
 
 
+_AREA = {
+    Circle: lambda c: math.pi * c.radius_mm**2,
+    EquilateralTriangle: lambda t: math.sqrt(3.0) / 4.0 * t.side_mm**2,
+    Square: lambda s: s.side_mm**2,
+    Rectangle: lambda r: r.width_mm * r.height_mm,
+    # full rectangle minus the four corner cutouts (square minus quarter circle)
+    RoundedRectangle: lambda r: r.width_mm * r.height_mm - (4.0 - math.pi) * r.corner_radius_mm**2,
+}
+
+
 def area(cs: CrossSection) -> float:
     """Exact analytic area of a cross-section in mm^2."""
-    if isinstance(cs, Circle):
-        return math.pi * cs.radius_mm**2
-    if isinstance(cs, EquilateralTriangle):
-        return math.sqrt(3.0) / 4.0 * cs.side_mm**2
-    if isinstance(cs, Square):
-        return cs.side_mm**2
-    if isinstance(cs, Rectangle):
-        return cs.width_mm * cs.height_mm
-    if isinstance(cs, RoundedRectangle):
-        # full rectangle minus the four corner cutouts (square minus quarter circle)
-        return cs.width_mm * cs.height_mm - (4.0 - math.pi) * cs.corner_radius_mm**2
-    raise TypeError(f"not a cross-section: {cs!r}")
+    formula = _AREA.get(type(cs))
+    if formula is None:
+        raise TypeError(f"not a cross-section: {cs!r}")
+    return formula(cs)
 
 
 def equal_area_family(

@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._lazy import np
 from .geometry import CrossSection, ideal_force, reject
 
 
@@ -28,14 +27,14 @@ class ZeroPressureError(ValueError):
 
 def _exp(x):
     """math.exp of a float or of each array element (np.exp can differ in the last bit)."""
-    if isinstance(x, np.ndarray):
+    if getattr(x, "ndim", 0):
         return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
     return math.exp(x)
 
 
 def _clamped_loss(pressure_kpa, model: LossModel):
     raw = model.raw(pressure_kpa)
-    if isinstance(raw, np.ndarray):
+    if getattr(raw, "ndim", 0):
         return np.fmin(1.0, np.fmax(0.0, raw))  # like min/max below, NaN clamps to 0.0
     return min(1.0, max(0.0, raw))
 

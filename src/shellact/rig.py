@@ -21,8 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._lazy import np
 from .geometry import ideal_force
 from .loss import ActuatorSpec, loss_fraction
 from .sweep import SweepDataset, SweepProtocol, write_measurements_csv

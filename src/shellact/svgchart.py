@@ -9,8 +9,9 @@ Coordinates are array math over all points; the text is Python-formatted.
 from __future__ import annotations
 
 import math
+import sys
 
-import numpy as np
+from ._lazy import np
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
@@ -22,7 +23,9 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    step = 10 ** math.floor(math.log10(span / n))
+    # spans too small for floats to resolve: span / n can underflow to 0.0,
+    # and a step below half an ulp of t would never move t
+    step = 10 ** math.floor(math.log10(max(span / n, sys.float_info.min)))
     for mult in (1, 2, 5, 10):
         if span / (step * mult) <= n:
             step *= mult
@@ -32,6 +35,8 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     t = first
     while t <= hi + 1e-12 * span:
         out.append(round(t, 12))
+        if t + step == t:
+            break
         t += step
     return out
 

@@ -17,8 +17,7 @@ import math
 from dataclasses import dataclass
 from itertools import islice
 
-import numpy as np
-
+from ._lazy import np
 from .geometry import DEFAULT_SAFETY_CAP_KPA, CrossSection, ideal_force, reject
 from .loss import LinearLoss, LossModel, loss_fraction, loss_from_measurement
 from .svgchart import format_each
@@ -39,7 +38,7 @@ class UnknownShapeError(KeyError):
 
 
 class FitError(ValueError):
-    """The fit window holds too little or degenerate data."""
+    """The fit window holds too little, degenerate or overflowing data."""
 
 
 @dataclass(frozen=True)
@@ -185,7 +184,13 @@ class DuplicateTrial:
         )
 
 
-Violation = MissingStep | TrialCountMismatch | OverCap | DuplicateTrial
+@dataclass(frozen=True)
+class EmptySweep:
+    def __str__(self) -> str:
+        return "empty sweep: the dataset has no measurement rows"
+
+
+Violation = MissingStep | TrialCountMismatch | OverCap | DuplicateTrial | EmptySweep
 
 
 def validate_sweep(
@@ -194,6 +199,8 @@ def validate_sweep(
     safety_cap_kpa: float = DEFAULT_SAFETY_CAP_KPA,
 ) -> list[Violation]:
     """Check a dataset's aggregates against the sweep protocol; violations are data, not errors."""
+    if not aggregates:
+        return [EmptySweep()]
     violations: list[Violation] = []
     steps = protocol.pressures()
     for shape_id in sorted({shape_id for shape_id, _ in aggregates}):
@@ -244,12 +251,14 @@ def fit_linear_loss(
     series: list[tuple[float, float]],
     window_kpa: tuple[float, float] = (30.0, 60.0),
     reference: LinearLoss | None = None,
+    label: str = "pooled series",
 ) -> FitReport:
     """Ordinary least squares with intercept over points inside the window.
 
     r^2 is the coefficient of determination 1 - SS_res/SS_tot about the
     mean loss; SS_tot == 0 (all losses identical) yields r^2 = 1 when the
-    residuals are also zero.
+    residuals are also zero. ``label`` names the series in a FitError for
+    losses too large to square.
     """
     lo, hi = window_kpa
     pts = sorted((p, y) for p, y in series if lo <= p <= hi)
@@ -260,16 +269,20 @@ def fit_linear_loss(
     if len(set(xs)) < 2:
         raise FitError("all pressures identical; slope is unconstrained")
     n = len(pts)
-    mx = math.fsum(xs) / n
-    my = math.fsum(ys) / n
-    sxx = math.fsum((x - mx) ** 2 for x in xs)
-    sxy = math.fsum((x - mx) * (y - my) for x, y in pts)
-    slope = sxy / sxx
-    intercept = my - slope * mx
-    residuals = tuple((x, y - (slope * x + intercept)) for x, y in pts)
-    ss_res = math.fsum(r * r for _, r in residuals)
-    ss_tot = math.fsum((y - my) ** 2 for y in ys)
-    r_squared = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else 1.0 - ss_res / ss_tot
+    try:
+        mx = math.fsum(xs) / n
+        my = math.fsum(ys) / n
+        sxx = math.fsum((x - mx) ** 2 for x in xs)
+        sxy = math.fsum((x - mx) * (y - my) for x, y in pts)
+        slope = sxy / sxx
+        intercept = my - slope * mx
+        residuals = tuple((x, y - (slope * x + intercept)) for x, y in pts)
+        ss_res = math.fsum(r * r for _, r in residuals)
+        ss_tot = math.fsum((y - my) ** 2 for y in ys)
+        r_squared = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else 1.0 - ss_res / ss_tot
+    except OverflowError:
+        worst = max(map(abs, ys))
+        raise FitError(f"{label}: loss values too large to fit, up to {worst:g} in size") from None
     deltas = None
     if reference is not None:
         deltas = (slope - reference.slope_per_kpa, intercept - reference.intercept)
@@ -313,10 +326,6 @@ def comparison_report(
 
 
 # --- CSV I/O ---------------------------------------------------------------
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.4f}"
 
 
 _CHUNK_ROWS = 4096
@@ -419,5 +428,5 @@ def write_report_csv(rows: list[ReportRow]) -> str:
     for row in sorted(rows, key=lambda r: (r.shape_id, r.pressure_kpa)):
         numbers = (row.pressure_kpa, row.ideal_force_n, row.predicted_force_n,
                    row.mean_measured_force_n, row.loss_fraction)
-        writer.writerow([row.shape_id, *map(_fmt, numbers)])
+        writer.writerow([row.shape_id, *map("{:.4f}".format, numbers)])
     return buf.getvalue()

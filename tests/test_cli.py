@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from shellact import configio
 from shellact.brace import default_layout, default_valgus_schedule
 from shellact.cli import main
+from shellact.geometry import equal_area_family
 
 ENGINEERED_SPEC_YAML = {
     "cross_section": {
@@ -131,6 +132,85 @@ class TestGenerateAndFit:
         assert run(["fit", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path)]) == 2
 
 
+LINEAR_LOSS = "{form: linear, slope_per_kpa: -0.005, intercept: 0.522, valid_range_kpa: [30, 60]}"
+
+# config files that once ended in a traceback: (flag, file text, part of the message)
+BAD_CONFIGS = {
+    "phase_not_a_mapping": ("--schedule", "phases: [5]\n", "phase entry must be a mapping"),
+    "pressures_a_list": (
+        "--schedule",
+        "phases:\n- {name: a, fraction: 1.0, pressures: [1, 2]}\n",
+        "phase pressures must be a mapping",
+    ),
+    "actuator_not_a_mapping": ("--layout", "actuators: [5]\n", "actuator entry must be a mapping"),
+    "cross_section_a_number": (
+        "--spec",
+        f"cross_section: 5\nloss_model: {LINEAR_LOSS}\n",
+        "cross-section must be a mapping",
+    ),
+    "scalar_valid_range": (
+        "--spec",
+        "cross_section: {kind: circle, radius_mm: 25}\n"
+        + "loss_model: " + LINEAR_LOSS.replace("[30, 60]", "60") + "\n",
+        "valid_range_kpa must be a list",
+    ),
+    "shape_a_number": ("--shapes", "shapes: {circle: 5}\n", "cross-section must be a mapping"),
+    "unclosed_flow_list": ("--schedule", "phases: [\n", "expected the node content"),
+}
+
+
+def config_argv(flag, path, one_trial_csv, out):
+    """argv of the subcommand that reads a config file given by ``flag``."""
+    _, fuzz_dir = one_trial_csv
+    command = {
+        "--schedule": ["simulate"],
+        "--layout": ["simulate"],
+        "--spec": ["predict", "--pressures", "30,45"],
+        "--shapes": ["fit", "--trials", "1", "--input", str(fuzz_dir / "measurements.csv")],
+    }[flag]
+    return [*command, flag, str(path), "--out", str(out)]
+
+
+def valid_config(flag):
+    """A config the subcommand behind ``flag`` accepts, as YAML data."""
+    if flag == "--schedule":
+        return configio.schedule_to_dict(default_valgus_schedule())
+    if flag == "--layout":
+        return configio.layout_to_dict(default_layout())
+    if flag == "--spec":
+        return ENGINEERED_SPEC_YAML
+    family = zip(["circle", "triangle", "square", "rectangle"], equal_area_family(25.0, 2.0))
+    return {"shapes": {name: configio.cross_section_to_dict(cs) for name, cs in family}}
+
+
+def nodes(data, path=()):
+    """Paths to every node of nested YAML data."""
+    yield path
+    if isinstance(data, (dict, list)):
+        for key, value in data.items() if isinstance(data, dict) else enumerate(data):
+            yield from nodes(value, (*path, key))
+
+
+def replaced(data, path, value):
+    """``data`` with the node at ``path`` replaced by ``value``."""
+    if not path:
+        return value
+    head, *rest = path
+    copy = dict(data) if isinstance(data, dict) else list(data)
+    copy[head] = replaced(data[head], rest, value)
+    return copy
+
+
+YAML_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+CONFIG_FLAGS = st.sampled_from(["--schedule", "--layout", "--spec", "--shapes"])
+
+
 @pytest.fixture(scope="module")
 def one_trial_csv(tmp_path_factory):
     """A conforming one-trial sweep CSV and a directory for fuzzed runs."""
@@ -161,6 +241,37 @@ class TestErrorContract:
         argv = ["fit", "--trials", "1", "--input", str(out / "huge.csv"), "--out", str(out)]
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_overflowing_force_names_the_shape(self, one_trial_csv, capsys):
+        text, out = one_trial_csv
+        huge = re.sub(r"(?m)^(circle,45.0000,1,).*$", r"\g<1>1e300", text)
+        (out / "huge.csv").write_text(huge)
+        argv = ["fit", "--trials", "1", "--input", str(out / "huge.csv"), "--out", str(out / "o")]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: shape 'circle': loss values too large to fit, up to 1.13177e+298"
+        )
+        assert not (out / "o").exists()
+
+    def test_header_only_sweep_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("shape_id,pressure_kpa,trial,force_n\n")
+        out = tmp_path / "out"
+        assert run(["fit", "--input", str(empty), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "the dataset has no measurement rows" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+    def test_bad_config_file_exits_2_naming_it(self, one_trial_csv, tmp_path, capsys, case):
+        flag, text, message = BAD_CONFIGS[case]
+        path = tmp_path / "config.yaml"
+        path.write_text(text)
+        assert run(config_argv(flag, path, one_trial_csv, tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err
+
 
 
 # field values for the CSV parser: numbers at the edges of what parses, then free text
@@ -230,6 +341,29 @@ class TestFuzz:
         code = run(["generate", "--trials", str(trials), "--out", str(out / "gen")])
         assert code == (0 if trials >= 1 else 2)
 
+
+    @FUZZ
+    @given(flag=CONFIG_FLAGS, data=st.binary(max_size=400))
+    def test_config_file_of_random_bytes(self, one_trial_csv, flag, data):
+        _, out = one_trial_csv
+        (out / "fuzz.yaml").write_bytes(data)
+        assert run(config_argv(flag, out / "fuzz.yaml", one_trial_csv, out / "cfg")) in (0, 1, 2)
+
+    @pytest.mark.parametrize("flag", ["--schedule", "--layout", "--spec", "--shapes"])
+    def test_unmutated_config_runs(self, one_trial_csv, flag):
+        _, out = one_trial_csv
+        (out / "valid.yaml").write_text(yaml.safe_dump(valid_config(flag)))
+        assert run(config_argv(flag, out / "valid.yaml", one_trial_csv, out / "cfg")) == 0
+
+    @FUZZ
+    @given(flag=CONFIG_FLAGS, data=st.data())
+    def test_config_with_one_node_replaced(self, one_trial_csv, flag, data):
+        _, out = one_trial_csv
+        config = valid_config(flag)
+        path = data.draw(st.sampled_from(list(nodes(config))))
+        config = replaced(config, path, data.draw(YAML_VALUES))
+        (out / "fuzz.yaml").write_text(yaml.safe_dump(config))
+        assert run(config_argv(flag, out / "fuzz.yaml", one_trial_csv, out / "cfg")) in (0, 1, 2)
 
 class TestSimulate:
     def test_default_simulation(self, tmp_path, capsys):

@@ -60,6 +60,11 @@ def test_rounded_rectangle_zero_radius_equals_rectangle():
     assert area(RoundedRectangle(60.0, 40.0, 0.0)) == area(Rectangle(60.0, 40.0))
 
 
+def test_area_of_a_non_cross_section_is_a_type_error():
+    with pytest.raises(TypeError, match="not a cross-section: 25.0"):
+        area(25.0)
+
+
 @pytest.mark.parametrize(
     "bad",
     [

@@ -186,3 +186,52 @@ class TestArrayEvaluation:
             check_pressure(math.nan)
         with pytest.raises(OverPressureError, match="pressure 61 kPa"):
             predicted_force(61, balloon_spec())
+
+
+# one bad pressure as each input kind, with the value the error message shows for it
+NEGATIVE_BY_KIND = [
+    (-5, "-5"),
+    (-5.0, "-5.0"),
+    (np.float64(-5.0), "np.float64(-5.0)"),
+    (np.array(-5.0), "array(-5.)"),
+    (np.array([30.0, -5.0]), "-5.0"),
+]
+OVER_CAP_BY_KIND = [
+    (70, "70"),
+    (70.0, "70.0"),
+    (np.float64(70.0), "70.0"),
+    (np.array(70.0), "70.0"),
+    (np.array([30.0, 70.0]), "70.0"),
+]
+
+
+class TestInputKindParity:
+    """Scalar-or-array dispatch keys on ``ndim``, not on the numpy type: every
+    input kind raises the same exception type and message it always did."""
+
+    @pytest.mark.parametrize("p, shown", NEGATIVE_BY_KIND)
+    def test_negative_pressure(self, p, shown):
+        want = f"pressure must be a finite non-negative kPa value, got {shown}"
+        for call in (check_pressure, lambda x: predicted_force(x, balloon_spec())):
+            with pytest.raises(ValueError) as exc:
+                call(p)
+            assert type(exc.value) is ValueError and str(exc.value) == want
+
+    @pytest.mark.parametrize("p, shown", OVER_CAP_BY_KIND)
+    def test_over_cap(self, p, shown):
+        with pytest.raises(SafetyCapError) as exc:
+            check_pressure(p, 50.0)
+        assert str(exc.value) == f"pressure {shown} kPa exceeds safety cap 50.0 kPa"
+        with pytest.raises(OverPressureError) as exc:
+            predicted_force(p, balloon_spec())
+        assert str(exc.value) == f"pressure {shown} kPa exceeds actuator max 60.0 kPa"
+
+    @pytest.mark.parametrize(
+        "p, kind",
+        [(30, float), (30.0, float), (np.float64(30.0), np.float64),
+         (np.array(30.0), np.float64), (np.array([30.0]), np.ndarray)],
+    )
+    def test_valid_pressure_keeps_its_kind(self, p, kind):
+        force = predicted_force(p, balloon_spec())
+        assert type(force) is kind
+        assert float(np.ravel(force)[0]) == predicted_force(30.0, balloon_spec())

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import xml.dom.minidom
+from pathlib import Path
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -74,6 +78,26 @@ class TestMatchesReference:
     def test_polyline_text(self, point_lists):
         series = {f"s{i}": pts for i, pts in enumerate(point_lists)}
         assert polylines(line_chart_svg(series, "t", "x", "y")) == reference_polylines(series)
+
+
+class TestSpansBelowFloatResolution:
+    def test_underflowing_span_renders(self):
+        svg = line_chart_svg({"s": [(0.0, 0.0), (1.0, 5e-324)]}, "t", "x", "y")
+        xml.dom.minidom.parseString(svg)
+
+    def test_one_ulp_span_terminates(self):
+        # before the fix the tick loop never ended, so run it where a timeout can stop it
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (
+            "import math; from shellact.svgchart import line_chart_svg; "
+            "one_ulp = math.nextafter(1.0, 2.0); "
+            "print(line_chart_svg({'s': [(1.0, 0.0), (one_ulp, 1.0)]}, 't', 'x', 'y'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        xml.dom.minidom.parseString(proc.stdout)
 
 
 class TestFormatEach:

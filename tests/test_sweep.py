@@ -11,6 +11,7 @@ from shellact.loss import BALLOON_LOSS, balloon_spec, loss_fraction, predicted_f
 from shellact.rig import RigConfig, generate_sweep
 from shellact.sweep import (
     DuplicateTrial,
+    EmptySweep,
     FitError,
     MissingStep,
     OverCap,
@@ -126,6 +127,10 @@ class TestAggregation:
 
 
 class TestValidateSweep:
+    def test_empty_sweep_is_a_violation(self):
+        assert validate_sweep({}, SweepProtocol()) == [EmptySweep()]
+        assert str(EmptySweep()) == "empty sweep: the dataset has no measurement rows"
+
     def test_conformant_dataset(self):
         assert validate_sweep(make_clean_dataset().aggregates(), SweepProtocol()) == []
 
@@ -233,6 +238,14 @@ class TestFitLinearLoss:
     def test_degenerate_pressures(self):
         with pytest.raises(FitError):
             fit_linear_loss([(40.0, 0.3), (40.0, 0.31), (40.0, 0.32)])
+
+    def test_overflowing_losses_name_the_series(self):
+        pts = [(30.0, 0.3), (45.0, -1e300), (60.0, 0.2)]
+        too_large = r"^shape 'circle': loss values too large to fit, up to 1e\+300"
+        with pytest.raises(FitError, match=too_large):
+            fit_linear_loss(pts, label="shape 'circle'")
+        with pytest.raises(FitError, match="^pooled series: "):
+            fit_linear_loss(pts)
 
     def test_monte_carlo_slope_recovery(self):
         # tolerance pinned by the pre-build oracle: 3 trials averaged per
