@@ -32,7 +32,7 @@ from itertools import accumulate
 from ._lazy import np
 from .geometry import reject
 from .loss import ActuatorSpec, predicted_force
-from .svgchart import format_each
+from .svgchart import byte_rows, csv_field, fixed_text, join_rows
 
 
 class Site(Enum):
@@ -140,12 +140,13 @@ class GaitSchedule:
     def __post_init__(self) -> None:
         if not self.phases:
             raise ScheduleError("schedule needs at least one phase")
-        total = math.fsum(ph.fraction for ph in self.phases)
-        if abs(total - 1.0) > 1e-9:
-            raise ScheduleError(f"phase fractions must sum to 1, got {total}")
+        # written so that NaN fails each check
         for ph in self.phases:
-            if ph.fraction <= 0.0:
-                raise ScheduleError(f"phase {ph.name!r} has non-positive fraction")
+            if not ph.fraction > 0.0:
+                raise ScheduleError(f"phase {ph.name!r} has fraction {ph.fraction}, not > 0")
+        total = math.fsum(ph.fraction for ph in self.phases)
+        if not abs(total - 1.0) <= 1e-9:
+            raise ScheduleError(f"phase fractions must sum to 1, got {total}")
 
     def validate_against(self, layout: BraceLayout) -> None:
         placements = layout.by_id()
@@ -156,7 +157,7 @@ class GaitSchedule:
                         f"phase {ph.name!r} commands unknown actuator {actuator_id!r}"
                     )
                 cap = placements[actuator_id].spec.max_pressure_kpa
-                if p < 0.0 or p > cap:
+                if not 0.0 <= p <= cap:  # NaN fails it too
                     raise ScheduleError(
                         f"phase {ph.name!r} commands {p} kPa on {actuator_id!r}, "
                         f"outside [0, {cap}]"
@@ -268,20 +269,15 @@ _CHUNK_STEPS = 1024
 def write_trace_csv(trace: SimulationTrace) -> str:
     """One row per (time step, actuator); moment repeats the step's value.
 
-    Steps are formatted a chunk at a time, so the field strings stay small.
+    Built as byte rows a chunk of steps at a time; each actuator id is quoted once.
     """
-    ids = list(trace.actuator_ids)
+    ids = byte_rows([csv_field(aid) for aid in trace.actuator_ids])
+    per_step = (trace.t_s, trace.moment_nm)
+    per_actuator = (trace.commanded_kpa, trace.actual_kpa, trace.force_n)
     parts = [",".join(TRACE_HEADER) + "\n"]
     for start in range(0, len(trace.t_s), _CHUNK_STEPS):
         rows = slice(start, start + _CHUNK_STEPS)
-        t, commanded, actual, force, moment = (format_each(x, "{:.4f}") for x in (
-            np.repeat(trace.t_s[rows], len(ids)),
-            trace.commanded_kpa[rows],
-            trace.actual_kpa[rows],
-            trace.force_n[rows],
-            np.repeat(trace.moment_nm[rows], len(ids)),
-        ))
-        row_ids = ids * (len(t) // len(ids))
-        parts.append("\n".join(map(",".join, zip(t, row_ids, commanded, actual, force, moment))))
-        parts.append("\n")
+        t, moment = (fixed_text(x[rows], 4).repeat(len(ids), 0) for x in per_step)
+        columns = (fixed_text(x[rows], 4) for x in per_actuator)
+        parts.append(join_rows([t, np.tile(ids, (len(t) // len(ids), 1)), *columns, moment]))
     return "".join(parts)

@@ -179,7 +179,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     schedule = (
         configio.load_schedule(args.schedule) if args.schedule else brace.default_valgus_schedule()
     )
-    schedule.validate_against(layout)
+    try:
+        schedule.validate_against(layout)
+    except brace.ScheduleError as exc:
+        raise configio.ConfigError(f"{args.schedule or args.layout}: {exc}") from None
     try:
         trace = brace.run_gait_cycle(
             layout, schedule, args.duration, args.dt, tau_s=args.tau, n_cycles=args.cycles

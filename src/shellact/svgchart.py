@@ -3,11 +3,16 @@
 Hand-rolled on purpose: outputs must be byte-identical across runs, which
 rules out plotting libraries that embed timestamps or version metadata.
 One polyline per series, fixed palette, fixed coordinate formatting.
-Coordinates are array math over all points; the text is Python-formatted.
+Coordinates are array math over all points. The text of the polyline
+points, and of the trace and measurement CSVs, comes from one kernel:
+``fixed_text`` builds each number's exact ``format`` text as a row of bytes
+with array arithmetic, and ``join_rows`` joins such rows into lines.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import sys
 
@@ -17,6 +22,7 @@ _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 _W, _H = 640, 400
 _ML, _MR, _MT, _MB = 60, 20, 30, 45  # margins
+_KEEP = 0x100  # set in a text-rows cell that holds a byte of the text
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -41,11 +47,68 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return out
 
 
-def format_each(values: np.ndarray, spec: str) -> list[str]:
-    """``spec.format`` of each value, row-major, run once per distinct bit pattern."""
-    bits, inverse = np.unique(np.asarray(values, float).ravel().view(np.int64), return_inverse=True)
-    text = np.array(list(map(spec.format, bits.view(float).tolist())), dtype=object)
-    return text[inverse].tolist()
+def csv_field(text: str) -> str:
+    """``text`` as csv.writer writes it inside a row of several fields."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
+def byte_rows(texts: list[str], width: int = 0) -> np.ndarray:
+    """Text rows of ``texts``: uint16 [n, w], at least ``width`` wide.
+
+    Row i holds the UTF-8 bytes of text i, left-aligned, each as
+    ``_KEEP | byte``; padding cells are 0, so a NUL byte of a text is kept.
+    """
+    raw = [text.encode() for text in texts]
+    lengths = np.array([len(b) for b in raw], dtype=np.intp)
+    keep = np.arange(max([width, *lengths.tolist()])) < lengths[:, None]
+    rows = np.zeros(keep.shape, np.uint16)
+    rows[keep] = np.frombuffer(b"".join(raw), np.uint8).astype(np.uint16) | _KEEP
+    return rows
+
+
+def fixed_text(values, digits: int = 0) -> np.ndarray:
+    """Text rows (see ``byte_rows``) of ``format(v, f".{digits}f")`` for each value, row-major.
+
+    Integer arrays are written as ``str`` writes them. Digits are peeled
+    from rint(|v| * 10**digits) in int64, which gives ``format``'s digits
+    unless the scaled value lies within its rounding error of a tie or at
+    2**52 and above; those values, NaN, inf and negative integers are
+    formatted one by one.
+    """
+    x = np.asarray(values).ravel()
+    if x.dtype.kind in "iu":
+        spec, digits, q, exact = "{:d}", 0, x, x >= 0
+    else:
+        spec = f"{{:.{digits}f}}"
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fall back
+            y = np.abs(x.astype(float, copy=False)) * 10.0**digits
+            exact = (np.abs(y - np.floor(y) - 0.5) > 4e-16 * y) & (y < 2.0**52)
+        q = np.rint(y, out=np.zeros_like(y), where=exact).astype(np.int64)
+    slow = list(map(spec.format, x[~exact].tolist()))
+    int_width = len(str(int(q.max(initial=0)) // 10**digits))
+    width = max([1 + int_width + (digits + 1 if digits else 0), *map(len, slow)])
+    rows = np.zeros((len(x), width), np.uint16)
+    if digits:
+        rows[:, -digits - 1] = _KEEP | ord(".")
+    for k in range(digits + int_width):
+        col = width - 1 - k - (k >= digits > 0)  # integer digits sit left of the point
+        high = q // 10  # numpy divides by a scalar far faster in // than in np.divmod
+        digit = q - high * 10 + (_KEEP | ord("0"))
+        rows[:, col] = digit if k <= digits else np.where(q > 0, digit, 0)  # units digit kept
+        q = high
+    rows[:, col - 1] = np.where(np.signbit(x), _KEEP | ord("-"), 0)
+    rows[~exact] = byte_rows(slow, width)
+    return rows
+
+
+def join_rows(fields: list[np.ndarray], sep: str = ",", end: str = "\n") -> str:
+    """Row i of every text-rows field, joined by ``sep`` and ended by ``end``, for all rows."""
+    marks = [np.full((len(fields[0]), 1), _KEEP | ord(m), np.uint16)
+             for m in [sep] * (len(fields) - 1) + [end]]
+    cells = np.concatenate([part for pair in zip(fields, marks) for part in pair], axis=1)
+    return cells[cells >= _KEEP].astype(np.uint8).tobytes().decode()
 
 
 def _escape(text: str) -> str:
@@ -102,14 +165,14 @@ def line_chart_svg(series: dict, title: str, x_label: str, y_label: str) -> str:
             f'<text x="{_ML - 6}" y="{py(ty):.2f}" text-anchor="end" '
             f'font-size="10">{ty:g}</text>'
         )
-    # all series at once: sorted by series, then x, then y; each coordinate formatted once
+    # all series at once: sorted by series, then x, then y
     owner = np.repeat(np.arange(len(counts)), counts)
     xs, ys = pts[np.lexsort((pts[:, 1], pts[:, 0], owner))].T
-    x_text, y_text = format_each(px(xs), "{:.2f}"), format_each(py(ys), "{:.2f}")
+    x_text, y_text = fixed_text(px(xs), 2), fixed_text(py(ys), 2)
     end = 0
     for i, (label, count) in enumerate(zip(series, counts)):
         color = _PALETTE[i % len(_PALETTE)]
-        coords = " ".join(map("{},{}".format, x_text[end:end + count], y_text[end:end + count]))
+        coords = join_rows([x_text[end:end + count], y_text[end:end + count]], ",", " ")[:-1]
         end += count
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>'

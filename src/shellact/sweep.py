@@ -20,7 +20,7 @@ from itertools import islice
 from ._lazy import np
 from .geometry import DEFAULT_SAFETY_CAP_KPA, CrossSection, ideal_force, reject
 from .loss import LinearLoss, LossModel, loss_fraction, loss_from_measurement
-from .svgchart import format_each
+from .svgchart import byte_rows, csv_field, fixed_text, join_rows
 
 MEASUREMENT_HEADER = ["shape_id", "pressure_kpa", "trial", "force_n"]
 REPORT_HEADER = [
@@ -331,33 +331,20 @@ def comparison_report(
 _CHUNK_ROWS = 4096
 
 
-def _csv_field(text: str) -> str:
-    """``text`` as csv.writer writes it inside a row of several fields."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[:-2]
-
-
 def write_measurements_csv(ds: SweepDataset) -> str:
     """Serialize a dataset; provenance goes first as '#'-prefixed comment lines.
 
-    Rows are formatted a chunk at a time, each distinct shape id and
-    pressure once.
+    Rows are built as byte rows a chunk at a time; each shape id is quoted once.
     """
     buf = io.StringIO()
     for line in ds.provenance:
         buf.write(f"# {line}\n")
     buf.write(",".join(MEASUREMENT_HEADER) + "\n")
-    ids = [_csv_field(name) for name in ds.shape_names]
+    ids = byte_rows([csv_field(name) for name in ds.shape_names])
     for start in range(0, len(ds.force_n), _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
-        fields = zip(
-            map(ids.__getitem__, ds.shape_code[rows].tolist()),
-            format_each(ds.pressure_kpa[rows], "{:.4f}"),
-            map(str, ds.trial[rows].tolist()),
-            format_each(ds.force_n[rows], "{:.4f}"),
-        )
-        buf.write("\n".join(map(",".join, fields)) + "\n")
+        buf.write(join_rows([ids[ds.shape_code[rows]], fixed_text(ds.pressure_kpa[rows], 4),
+                             fixed_text(ds.trial[rows]), fixed_text(ds.force_n[rows], 4)]))
     return buf.getvalue()
 
 

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -333,6 +335,18 @@ class TestTraceCsv:
         for chunk in (1, 7):
             monkeypatch.setattr(brace, "_CHUNK_STEPS", chunk)
             assert write_trace_csv(trace) == whole
+
+    def test_actuator_ids_quoted_once(self):
+        quoted = 'knee "a,b"'
+        layout = BraceLayout(tuple(
+            dataclasses.replace(a, actuator_id=quoted) if a.actuator_id == "thigh_medial" else a
+            for a in default_layout().actuators
+        ))
+        trace = run_gait_cycle(layout, default_valgus_schedule(), 1.2, 0.01)
+        rows = list(csv.reader(io.StringIO(write_trace_csv(trace))))
+        assert {len(row) for row in rows} == {6}
+        assert [row[1] for row in rows[1:7]] == list(trace.actuator_ids)
+        assert quoted in trace.actuator_ids
 
     def test_zero_steps_writes_header_only(self):
         trace = run_gait_cycle(default_layout(), default_valgus_schedule(), 1.2, 0.01, n_cycles=0)

@@ -156,6 +156,17 @@ BAD_CONFIGS = {
     ),
     "shape_a_number": ("--shapes", "shapes: {circle: 5}\n", "cross-section must be a mapping"),
     "unclosed_flow_list": ("--schedule", "phases: [\n", "expected the node content"),
+    "nan_fraction": (
+        "--schedule",
+        "phases:\n- {name: a, fraction: .nan, pressures: {knee_medial: 30}}\n",
+        "phase 'a' has fraction nan",
+    ),
+    "nan_pressure": (
+        "--schedule",
+        "phases:\n- {name: a, fraction: 0.5, pressures: {knee_medial: .nan}}\n"
+        "- {name: b, fraction: 0.5}\n",
+        "phase 'a' commands nan kPa on 'knee_medial'",
+    ),
 }
 
 

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -6,9 +7,10 @@ from pathlib import Path
 from xml.sax.saxutils import escape
 
 import numpy as np
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
-from shellact.svgchart import _escape, format_each, line_chart_svg
+from shellact.svgchart import _escape, byte_rows, fixed_text, join_rows, line_chart_svg
 
 
 def reference_polylines(series):
@@ -100,11 +102,52 @@ class TestSpansBelowFloatResolution:
         xml.dom.minidom.parseString(proc.stdout)
 
 
-class TestFormatEach:
-    def test_row_major_and_deduplicated(self):
+def texts(values, digits=0):
+    """The kernel's text of each value, as a list of strings."""
+    return join_rows([fixed_text(values, digits)]).split("\n")[:-1]
+
+
+def ties(digits):
+    """Values (k + 0.5) / 10**digits: a rounding tie, or the float nearest to one."""
+    return st.integers(-10**7, 10**7).map(lambda k: (k + 0.5) / 10**digits)
+
+
+any_float = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-1e-300, 1e-300),  # subnormals and values that round to zero
+    st.floats(2.0**51, 2.0**60) | st.floats(-(2.0**60), -(2.0**51)),
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 2.0**52]),
+)
+
+
+class TestFixedText:
+    def test_row_major_order(self):
         values = np.array([[1.0, 2.5], [1.0, 1.0]])
-        assert format_each(values, "{:.2f}") == ["1.00", "2.50", "1.00", "1.00"]
+        assert texts(values, 2) == ["1.00", "2.50", "1.00", "1.00"]
 
     def test_negative_zero_kept(self):
-        text = format_each(np.array([0.0, -0.0, -1e-9]), "{:.4f}")
-        assert text == ["0.0000", "-0.0000", "-0.0000"]
+        assert texts(np.array([0.0, -0.0, -1e-9]), 4) == ["0.0000", "-0.0000", "-0.0000"]
+
+    @pytest.mark.parametrize("digits", [2, 4])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_format(self, digits, data):
+        values = data.draw(st.lists(any_float | ties(digits), max_size=40))
+        assert texts(np.array(values, dtype=float), digits) == [
+            format(v, f".{digits}f") for v in values
+        ]
+
+    def test_integers_written_as_str(self):
+        values = np.array([0, 7, -10, 123456789, 2**53 + 1, -(2**63)], dtype=np.int64)
+        assert texts(values) == [str(v) for v in values.tolist()]
+
+    def test_fallback_values_format_like_the_rest(self):
+        # a tie, a float next to one, a value past 2**52, NaN and inf take the per-value path
+        values = [1.25, 0.125, 0.015, 2.0**53 + 2, math.nan, -math.inf, -3.5, 0.004999]
+        assert texts(np.array(values), 2) == [format(v, ".2f") for v in values]
+        rows = join_rows([fixed_text([1.0, 1e20], 1), fixed_text([math.nan, -2.0], 1)], ";", "|")
+        assert rows == "1.0;nan|100000000000000000000.0;-2.0|"
+
+    def test_text_with_nul_and_multibyte_bytes(self):
+        table = byte_rows(["a\x00b", "é", "", "a,b"])
+        assert join_rows([table, table[::-1]]) == "a\x00b,a,b\né,\n,é\na,b,a\x00b\n"

@@ -28,6 +28,7 @@ from shellact.sweep import (
     write_report_csv,
 )
 from sweep_reference import (
+    MeasurementRecord,
     aggregate_records,
     dataset,
     generate_records,
@@ -415,6 +416,11 @@ class TestAgainstReference:
     )
     def test_columnar_pipeline_equals_per_record_code(self, ids, trials, seed, sigma):
         assert_matches_reference(rig_config(ids, trials, seed, sigma))
+
+    def test_shape_ids_with_odd_bytes_written_as_the_reference(self):
+        rows = [(sid, 30.0 + i, i, 2.5 * i) for i, sid in enumerate(["a\x00b", "é", "a,b", 'q"x'], 1)]
+        records = [MeasurementRecord(*row) for row in rows]
+        assert write_measurements_csv(dataset(rows)) == write_records_csv(records, ())
 
     def test_rows_span_several_chunks(self):
         # 4 shapes x 12 steps x 100 trials = 4800 rows, more than one chunk
