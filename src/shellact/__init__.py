@@ -43,7 +43,7 @@ from .sweep import (
     fit_linear_loss,
     validate_sweep,
 )
-from .rig import RigConfig, generate_sweep, precondition_cycles
+from .rig import RigConfig, generate_sweep
 from .brace import (
     BraceLayout,
     GaitPhase,
@@ -53,7 +53,6 @@ from .brace import (
     default_layout,
     default_valgus_schedule,
     run_gait_cycle,
-    step_pressure,
 )
 
 __version__ = "0.1.0"

@@ -110,13 +110,6 @@ def corrective_moment(layout: BraceLayout, forces_n: dict) -> tuple:
     return net, moment
 
 
-def step_pressure(actual_kpa: float, commanded_kpa: float, dt_s: float, tau_s: float) -> float:
-    """Exact discrete step of the first-order supply-line lag; never overshoots."""
-    if dt_s <= 0.0 or tau_s <= 0.0:
-        raise ValueError("dt_s and tau_s must be > 0")
-    return actual_kpa + (commanded_kpa - actual_kpa) * (1.0 - math.exp(-dt_s / tau_s))
-
-
 def _lag(commanded_kpa: np.ndarray, alpha: float) -> np.ndarray:
     """Supply pressures [n, k] from 0 kPa, stepping a <- a + (c - a) * alpha in order."""
     columns = []
@@ -163,15 +156,14 @@ class GaitSchedule:
                         f"outside [0, {cap}]"
                     )
 
-    def _phase_index(self, cycle_position):
-        """Index of the phase active at each position (a float or an array)."""
+    def phase_index(self, cycle_position):
+        """Index of the phase active at each cycle position (a float or an array).
+
+        Positions wrap modulo 1; transitions fall at exact cumulative fractions.
+        """
         ends = np.array(list(accumulate(ph.fraction for ph in self.phases))) - 1e-15
         index = np.searchsorted(ends, np.asarray(cycle_position) % 1.0, side="right")
         return np.minimum(index, len(self.phases) - 1)
-
-    def phase_at(self, cycle_position: float) -> GaitPhase:
-        """Phase active at a position in [0, 1); transitions at exact cumulative fractions."""
-        return self.phases[int(self._phase_index(cycle_position))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,21 +191,25 @@ def run_gait_cycle(
 
     Deterministic: the trace is a pure function of the arguments.
     """
-    if cycle_duration_s <= 0.0 or dt_s <= 0.0:
-        raise ValueError("cycle_duration_s and dt_s must be > 0")
+    # written so that NaN fails each check
+    for name, value in (("cycle_duration_s", cycle_duration_s), ("dt_s", dt_s), ("tau_s", tau_s)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    if n_cycles < 0:
+        raise ValueError(f"n_cycles must be >= 0, got {n_cycles}")
     shortest = min(ph.fraction for ph in schedule.phases) * cycle_duration_s
     if dt_s >= shortest:
         raise ScheduleError(
             f"dt {dt_s} s must be shorter than the shortest phase ({shortest:g} s)"
         )
     schedule.validate_against(layout)
-    alpha = step_pressure(0.0, 1.0, dt_s, tau_s)  # one step from 0 toward 1 is the lag factor
+    alpha = 1.0 - math.exp(-dt_s / tau_s)  # exact discrete step of the first-order lag
     placements = layout.by_id()
     ids = tuple(sorted(placements))
-    n_steps = max(0, int(round(n_cycles * cycle_duration_s / dt_s)))
+    n_steps = int(round(n_cycles * cycle_duration_s / dt_s))
     k = np.arange(n_steps, dtype=float)
     # phase is held over the step interval [t - dt, t)
-    phase = schedule._phase_index(k * dt_s / cycle_duration_s)
+    phase = schedule.phase_index(k * dt_s / cycle_duration_s)
     table = [[ph.pressures_kpa.get(aid, 0.0) for aid in ids] for ph in schedule.phases]
     commanded = np.array(table, dtype=float)[phase]
     actual = _lag(commanded, alpha)

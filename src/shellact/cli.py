@@ -15,6 +15,7 @@ byte-comparable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -22,7 +23,7 @@ from . import brace, configio, rig, sweep
 from ._lazy import np
 from .geometry import CrossSection, area, equal_area_family, ideal_force
 from .loss import balloon_spec, loss_fraction, predicted_force
-from .svgchart import line_chart_svg
+from .svgchart import csv_field, line_chart_svg
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,9 +46,8 @@ def _fmt(x: float) -> str:
 
 
 def _shape_label(cs: CrossSection) -> str:
-    d = configio.cross_section_to_dict(cs)
-    kind = d.pop("kind")
-    dims = ", ".join(f"{k}={v:.4f}" for k, v in d.items())
+    kind = next(name for name, cls in configio._CROSS_SECTIONS.items() if isinstance(cs, cls))
+    dims = ", ".join(f"{k}={v:.4f}" for k, v in dataclasses.asdict(cs).items())
     return f"{kind}({dims})"
 
 
@@ -146,7 +146,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     for shape_id in sorted(series):
         rep = sweep.fit_linear_loss(series[shape_id], window, label=f"shape {shape_id!r}")
         fit_lines.append(
-            f"{shape_id},{_fmt(window[0])},{_fmt(window[1])},"
+            f"{csv_field(shape_id)},{_fmt(window[0])},{_fmt(window[1])},"
             f"{rep.slope_per_kpa:.6f},{rep.intercept:.6f},{_fmt(rep.r_squared)}"
         )
     fit_csv = "\n".join(fit_lines) + "\n"

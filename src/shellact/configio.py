@@ -30,7 +30,7 @@ schedule file: ``phases: [{name, fraction, pressures: {<id>: kPa}}, ...]``
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import asdict, fields
+from dataclasses import fields
 from typing import Any
 
 from ._lazy import yaml
@@ -76,10 +76,6 @@ def _lookup(table: dict[str, Any], name: Any, what: str) -> Any:
     return found
 
 
-def _name_of(table: dict[str, type], obj: Any) -> str:
-    return next(name for name, cls in table.items() if isinstance(obj, cls))
-
-
 def _expect(value: Any, kind: type, what: str) -> Any:
     """``value`` if it is a ``kind`` (dict or list) as YAML loads it."""
     if not isinstance(value, kind):
@@ -104,10 +100,6 @@ def cross_section_from_dict(d: dict[str, Any]) -> CrossSection:
         raise ConfigError(f"cross-section config missing key {exc}") from exc
 
 
-def cross_section_to_dict(cs: CrossSection) -> dict[str, Any]:
-    return {"kind": _name_of(_CROSS_SECTIONS, cs), **asdict(cs)}
-
-
 def loss_model_from_dict(d: dict[str, Any]) -> LossModel:
     _expect(d, dict, "loss model")
     try:
@@ -117,11 +109,6 @@ def loss_model_from_dict(d: dict[str, Any]) -> LossModel:
         return cls(*(_number(d[f.name], f.name) for f in fields(cls)[:-1]), rng)
     except KeyError as exc:
         raise ConfigError(f"loss model config missing key {exc}") from exc
-
-
-def loss_model_to_dict(m: LossModel) -> dict[str, Any]:
-    valid_range = list(m.valid_range_kpa)
-    return {"form": _name_of(_LOSS_MODELS, m), **asdict(m), "valid_range_kpa": valid_range}
 
 
 def actuator_spec_from_dict(d: dict[str, Any]) -> ActuatorSpec:
@@ -136,14 +123,6 @@ def actuator_spec_from_dict(d: dict[str, Any]) -> ActuatorSpec:
         )
     except KeyError as exc:
         raise ConfigError(f"actuator spec config missing key {exc}") from exc
-
-
-def actuator_spec_to_dict(spec: ActuatorSpec) -> dict[str, Any]:
-    return {
-        **asdict(spec),
-        "cross_section": cross_section_to_dict(spec.cross_section),
-        "loss_model": loss_model_to_dict(spec.loss_model),
-    }
 
 
 def shapes_from_dict(d: dict[str, Any]) -> dict[str, CrossSection]:
@@ -225,33 +204,3 @@ def load_layout(path: str) -> BraceLayout:
 
 def load_schedule(path: str) -> GaitSchedule:
     return _load(path, schedule_from_dict)
-
-
-def layout_to_dict(layout: BraceLayout) -> dict[str, Any]:
-    return {
-        "actuators": [
-            {
-                "id": a.actuator_id,
-                "site": a.site.value,
-                "side": a.side.value,
-                "lever_arm_m": a.lever_arm_m,
-                "direction": a.direction.name.lower(),
-                "spec": actuator_spec_to_dict(a.spec),
-            }
-            for a in layout.actuators
-        ]
-    }
-
-
-def schedule_to_dict(schedule: GaitSchedule) -> dict[str, Any]:
-    return {
-        "phases": [
-            {"name": ph.name, "fraction": ph.fraction, "pressures": dict(ph.pressures_kpa)}
-            for ph in schedule.phases
-        ]
-    }
-
-
-def dump_yaml(data: dict[str, Any], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(data, fh, sort_keys=False)

@@ -64,17 +64,6 @@ def default_noise_sigma_n(cfg_ground_truth: dict[str, ActuatorSpec], protocol: S
     return 0.01 * math.fsum(ideals) / len(ideals)
 
 
-def precondition_cycles(n: int) -> list[str]:
-    """Provenance entries for n inflate/deflate conditioning cycles.
-
-    Conditioning permanently sets the bladder's elasticity before the sweep;
-    it is recorded but has no numeric effect on generated forces.
-    """
-    if n < 0:
-        raise ValueError("cycle count must be >= 0")
-    return [f"conditioning cycle {i + 1}/{n}: inflate/deflate" for i in range(n)]
-
-
 def _config_digest(cfg: RigConfig) -> str:
     payload = {
         "shapes": {sid: repr(spec) for sid, spec in sorted(cfg.ground_truth.items())},
@@ -121,7 +110,6 @@ def generate_sweep(cfg: RigConfig) -> SweepDataset:
         f"seed: {cfg.seed}",
         f"config: {_config_digest(cfg)}",
         f"conditioning_cycles: {cfg.conditioning_cycles}",
-        *precondition_cycles(cfg.conditioning_cycles),
     ]
     return SweepDataset(
         tuple(names),

@@ -135,62 +135,14 @@ class SweepDataset:
 
 
 @dataclass(frozen=True)
-class MissingStep:
-    shape_id: str
-    pressure_kpa: float
+class Violation:
+    """One way a sweep breaks its protocol: a kind such as "missing step", and the detail."""
+
+    kind: str
+    detail: str
 
     def __str__(self) -> str:
-        return f"missing step: shape {self.shape_id!r} has no {self.pressure_kpa:g} kPa record"
-
-
-@dataclass(frozen=True)
-class TrialCountMismatch:
-    shape_id: str
-    pressure_kpa: float
-    expected: int
-    actual: int
-
-    def __str__(self) -> str:
-        return (
-            f"trial count mismatch: shape {self.shape_id!r} at {self.pressure_kpa:g} kPa "
-            f"has {self.actual} trials, expected {self.expected}"
-        )
-
-
-@dataclass(frozen=True)
-class OverCap:
-    shape_id: str
-    pressure_kpa: float
-    cap_kpa: float
-
-    def __str__(self) -> str:
-        return (
-            f"over cap: shape {self.shape_id!r} record at {self.pressure_kpa:g} kPa "
-            f"exceeds the {self.cap_kpa:g} kPa cap"
-        )
-
-
-@dataclass(frozen=True)
-class DuplicateTrial:
-    shape_id: str
-    pressure_kpa: float
-    rows: int
-    distinct_trials: int
-
-    def __str__(self) -> str:
-        return (
-            f"duplicate trial: shape {self.shape_id!r} at {self.pressure_kpa:g} kPa "
-            f"has {self.rows} rows but {self.distinct_trials} distinct trial ids"
-        )
-
-
-@dataclass(frozen=True)
-class EmptySweep:
-    def __str__(self) -> str:
-        return "empty sweep: the dataset has no measurement rows"
-
-
-Violation = MissingStep | TrialCountMismatch | OverCap | DuplicateTrial | EmptySweep
+        return f"{self.kind}: {self.detail}"
 
 
 def validate_sweep(
@@ -200,21 +152,28 @@ def validate_sweep(
 ) -> list[Violation]:
     """Check a dataset's aggregates against the sweep protocol; violations are data, not errors."""
     if not aggregates:
-        return [EmptySweep()]
+        return [Violation("empty sweep", "the dataset has no measurement rows")]
     violations: list[Violation] = []
     steps = protocol.pressures()
     for shape_id in sorted({shape_id for shape_id, _ in aggregates}):
         for p in steps:
             agg = aggregates.get((shape_id, p))
             if agg is None:
-                violations.append(MissingStep(shape_id, p))
+                detail = f"shape {shape_id!r} has no {p:g} kPa record"
+                violations.append(Violation("missing step", detail))
             elif agg.n_trials != protocol.trials:
-                violations.append(TrialCountMismatch(shape_id, p, protocol.trials, agg.n_trials))
+                detail = (f"shape {shape_id!r} at {p:g} kPa "
+                          f"has {agg.n_trials} trials, expected {protocol.trials}")
+                violations.append(Violation("trial count mismatch", detail))
     for (shape_id, p), agg in aggregates.items():
         if agg.n_distinct_trials < agg.n_trials:
-            violations.append(DuplicateTrial(shape_id, p, agg.n_trials, agg.n_distinct_trials))
+            detail = (f"shape {shape_id!r} at {p:g} kPa has {agg.n_trials} rows "
+                      f"but {agg.n_distinct_trials} distinct trial ids")
+            violations.append(Violation("duplicate trial", detail))
         if p > safety_cap_kpa:
-            violations.append(OverCap(shape_id, p, safety_cap_kpa))
+            detail = (f"shape {shape_id!r} record at {p:g} kPa "
+                      f"exceeds the {safety_cap_kpa:g} kPa cap")
+            violations.append(Violation("over cap", detail))
     return violations
 
 
@@ -224,12 +183,21 @@ def validate_sweep(
 def compute_loss_series(
     aggregates: Aggregates, shapes: dict[str, CrossSection]
 ) -> dict[str, list[tuple[float, float]]]:
-    """Per-shape (pressure, mean loss) series from the aggregate mean forces."""
+    """Per-shape (pressure, mean loss) series from the aggregate mean forces.
+
+    A mean force above the ideal P*A force (a negative loss) raises ValueError.
+    """
     series: dict[str, list[tuple[float, float]]] = {}
     for (shape_id, p), agg in aggregates.items():
         if shape_id not in shapes:
             raise UnknownShapeError(shape_id)
         loss = loss_from_measurement(p, shapes[shape_id], agg.mean_force_n)
+        if loss < 0.0:  # the shell cannot deliver more than P*A
+            ideal = ideal_force(p, shapes[shape_id], safety_cap_kpa=math.inf)
+            raise ValueError(
+                f"shape {shape_id!r} at {p:g} kPa: mean force {agg.mean_force_n:g} N "
+                f"is above the ideal force P*A = {ideal:g} N"
+            )
         series.setdefault(shape_id, []).append((p, loss))
     return series
 

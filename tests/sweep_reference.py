@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from shellact.geometry import ideal_force
-from shellact.rig import _config_digest, precondition_cycles, true_loss
+from shellact.rig import _config_digest, true_loss
 from shellact.sweep import MEASUREMENT_HEADER, Aggregate, SweepDataset
 
 
@@ -74,7 +74,6 @@ def generate_records(cfg):
         f"seed: {cfg.seed}",
         f"config: {_config_digest(cfg)}",
         f"conditioning_cycles: {cfg.conditioning_cycles}",
-        *precondition_cycles(cfg.conditioning_cycles),
     ]
     return records, provenance
 

@@ -24,7 +24,6 @@ from shellact.brace import (
     default_layout,
     default_valgus_schedule,
     run_gait_cycle,
-    step_pressure,
     write_trace_csv,
 )
 from shellact.loss import balloon_spec, predicted_force
@@ -158,35 +157,44 @@ class TestCorrectiveMoment:
             corrective_moment(layout, forces)
 
 
+def held_pressure(commanded_kpa, dt_s, tau_s, n_steps):
+    """knee_medial's actual_kpa from 0 kPa, and the trace, under one phase at ``commanded_kpa``."""
+    schedule = GaitSchedule((GaitPhase("hold", 1.0, {"knee_medial": commanded_kpa}),))
+    trace = run_gait_cycle(default_layout(), schedule, n_steps * dt_s, dt_s, tau_s=tau_s)
+    assert len(trace.t_s) == n_steps
+    return trace.actual_kpa[:, trace.actuator_ids.index("knee_medial")], trace
+
+
 class TestStepPressure:
+    """The supply-pressure lag step, seen through run_gait_cycle's actual_kpa."""
+
     def test_analytic_value(self):
-        assert step_pressure(0.0, 50.0, 0.2, 0.2) == pytest.approx(50.0 * (1 - math.exp(-1)))
-        assert step_pressure(0.0, 50.0, 0.2, 0.2) == pytest.approx(31.61, abs=0.01)
+        first = held_pressure(50.0, 0.2, 0.2, 5)[0][0]
+        assert first == pytest.approx(50.0 * (1 - math.exp(-1)))
+        assert first == pytest.approx(31.61, abs=0.01)
 
     def test_fixed_point(self):
-        assert step_pressure(50.0, 50.0, 0.01, 0.2) == 50.0
+        # idle actuators hold 0 kPa from 0 kPa
+        _, trace = held_pressure(50.0, 0.01, 0.2, 100)
+        assert np.all(trace.actual_kpa[:, trace.commanded_kpa[0] == 0.0] == 0.0)
+        # with tau << dt the lag factor is 1.0: 50 kPa is reached in one step, then held
+        assert held_pressure(50.0, 0.2, 1e-3, 5)[0].tolist() == [50.0] * 5
 
     def test_never_overshoots(self):
-        p = 0.0
-        for _ in range(500):
-            p = step_pressure(p, 50.0, 0.05, 0.2)
-            assert p <= 50.0
-        assert p == pytest.approx(50.0, abs=1e-9)
+        actual = held_pressure(50.0, 0.05, 0.2, 500)[0]
+        assert np.all(actual <= 50.0)
+        assert actual[-1] == pytest.approx(50.0, abs=1e-9)
 
     def test_gap_non_increasing(self):
-        p, prev_gap = 10.0, None
-        for _ in range(100):
-            p = step_pressure(p, 45.0, 0.02, 0.2)
-            gap = abs(45.0 - p)
-            if prev_gap is not None:
-                assert gap <= prev_gap
-            prev_gap = gap
+        gap = np.abs(45.0 - held_pressure(45.0, 0.02, 0.2, 100)[0])
+        assert np.all(np.diff(gap) <= 0.0)
 
     def test_bad_args(self):
-        with pytest.raises(ValueError):
-            step_pressure(0.0, 50.0, 0.0, 0.2)
-        with pytest.raises(ValueError):
-            step_pressure(0.0, 50.0, 0.1, -0.2)
+        for tau in (0.0, -0.2):
+            with pytest.raises(ValueError, match="tau_s must be finite and > 0"):
+                held_pressure(50.0, 0.1, tau, 5)
+        with pytest.raises(ValueError, match="dt_s must be finite and > 0"):
+            run_gait_cycle(default_layout(), default_valgus_schedule(), 1.2, 0.0)
 
 
 class TestSchedule:
@@ -207,11 +215,12 @@ class TestSchedule:
 
     def test_phase_lookup_at_exact_boundaries(self):
         schedule = default_valgus_schedule()
-        assert schedule.phase_at(0.0).name == "heel_strike"
-        assert schedule.phase_at(0.1).name == "mid_stance"
-        assert schedule.phase_at(0.4).name == "toe_off"
-        assert schedule.phase_at(0.6).name == "swing"
-        assert schedule.phase_at(0.999).name == "swing"
+        names = [ph.name for ph in schedule.phases]
+        assert names[schedule.phase_index(0.0)] == "heel_strike"
+        assert names[schedule.phase_index(0.1)] == "mid_stance"
+        assert names[schedule.phase_index(0.4)] == "toe_off"
+        assert names[schedule.phase_index(0.6)] == "swing"
+        assert names[schedule.phase_index(0.999)] == "swing"
 
 
 # --- reference: the per-step simulation the columnar code replaced ---------
@@ -227,6 +236,11 @@ def reference_phase_at(schedule, cycle_position):
     return schedule.phases[-1]
 
 
+def reference_step_pressure(actual_kpa, commanded_kpa, dt_s, tau_s):
+    """Exact discrete step of the first-order supply-line lag."""
+    return actual_kpa + (commanded_kpa - actual_kpa) * (1.0 - math.exp(-dt_s / tau_s))
+
+
 def reference_gait_cycle(layout, schedule, cycle_duration_s, dt_s, tau_s=0.2, n_cycles=1):
     """One (t, commanded, actual, forces, net, moment) tuple of dicts per step."""
     placements = layout.by_id()
@@ -239,7 +253,7 @@ def reference_gait_cycle(layout, schedule, cycle_duration_s, dt_s, tau_s=0.2, n_
         phase = reference_phase_at(schedule, ((k - 1) * dt_s) / cycle_duration_s)
         commanded = {aid: phase.pressures_kpa.get(aid, 0.0) for aid in ids}
         actual = {
-            aid: step_pressure(actual[aid], commanded[aid], dt_s, tau_s) for aid in ids
+            aid: reference_step_pressure(actual[aid], commanded[aid], dt_s, tau_s) for aid in ids
         }
         forces = {aid: predicted_force(actual[aid], placements[aid].spec) for aid in ids}
         net, moment = corrective_moment(layout, forces)
@@ -310,7 +324,7 @@ class TestColumnarMatchesReference:
     def test_phase_lookup_matches_reference(self):
         schedule = default_valgus_schedule()
         for pos in (0.0, 0.1, 0.4, 0.6, 0.999, 1.0, 1.1, 0.1 - 1e-16, 0.4 + 1e-15, 3.7):
-            assert schedule.phase_at(pos) is reference_phase_at(schedule, pos)
+            assert schedule.phases[schedule.phase_index(pos)] is reference_phase_at(schedule, pos)
 
 
 class TestTraceCsv:

@@ -1,3 +1,5 @@
+import csv
+import io
 import re
 import xml.etree.ElementTree as ET
 
@@ -10,6 +12,7 @@ from shellact import configio
 from shellact.brace import default_layout, default_valgus_schedule
 from shellact.cli import main
 from shellact.geometry import equal_area_family
+from config_writer import cross_section_to_dict, dump_yaml, layout_to_dict, schedule_to_dict
 
 ENGINEERED_SPEC_YAML = {
     "cross_section": {
@@ -185,13 +188,13 @@ def config_argv(flag, path, one_trial_csv, out):
 def valid_config(flag):
     """A config the subcommand behind ``flag`` accepts, as YAML data."""
     if flag == "--schedule":
-        return configio.schedule_to_dict(default_valgus_schedule())
+        return schedule_to_dict(default_valgus_schedule())
     if flag == "--layout":
-        return configio.layout_to_dict(default_layout())
+        return layout_to_dict(default_layout())
     if flag == "--spec":
         return ENGINEERED_SPEC_YAML
     family = zip(["circle", "triangle", "square", "rectangle"], equal_area_family(25.0, 2.0))
-    return {"shapes": {name: configio.cross_section_to_dict(cs) for name, cs in family}}
+    return {"shapes": {name: cross_section_to_dict(cs) for name, cs in family}}
 
 
 def nodes(data, path=()):
@@ -259,10 +262,38 @@ class TestErrorContract:
         (out / "huge.csv").write_text(huge)
         argv = ["fit", "--trials", "1", "--input", str(out / "huge.csv"), "--out", str(out / "o")]
         assert run(argv) == 2
-        assert capsys.readouterr().err.startswith(
-            "error: shape 'circle': loss values too large to fit, up to 1.13177e+298"
+        assert capsys.readouterr().err == (
+            "error: shape 'circle' at 45 kPa: mean force 1e+300 N "
+            "is above the ideal force P*A = 88.3573 N\n"
         )
         assert not (out / "o").exists()
+
+    def test_force_above_ideal_exits_2_naming_the_step(self, one_trial_csv, capsys):
+        text, out = one_trial_csv
+        above = re.sub(r"(?m)^(circle,45.0000,1,).*$", r"\g<1>1e155", text)
+        (out / "above.csv").write_text(above)
+        argv = ["fit", "--trials", "1", "--input", str(out / "above.csv"), "--out", str(out / "a")]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: shape 'circle' at 45 kPa: mean force 1e+155 N "
+            "is above the ideal force P*A = 88.3573 N\n"
+        )
+        assert not (out / "a").exists()
+
+    def test_shape_id_with_comma_quoted_in_fit_report(self, one_trial_csv, tmp_path, capsys):
+        text, _ = one_trial_csv
+        (tmp_path / "comma.csv").write_text(re.sub(r"(?m)^circle,", '"a,b",', text))
+        shapes = valid_config("--shapes")
+        shapes["shapes"]["a,b"] = shapes["shapes"].pop("circle")
+        dump_yaml(shapes, str(tmp_path / "shapes.yaml"))
+        argv = ["fit", "--trials", "1", "--input", str(tmp_path / "comma.csv"),
+                "--shapes", str(tmp_path / "shapes.yaml"), "--out", str(tmp_path / "out")]
+        assert run(argv) == 0
+        report = (tmp_path / "out" / "fit_report.csv").read_text()
+        assert capsys.readouterr().out == report
+        rows = list(csv.reader(io.StringIO(report)))
+        assert {len(row) for row in rows} == {6}
+        assert [row[0] for row in rows[1:]] == ["a,b", "rectangle", "square", "triangle"]
 
     def test_header_only_sweep_exits_2_and_writes_nothing(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
@@ -389,8 +420,8 @@ class TestSimulate:
     def test_steady_state_force_from_schedule_file(self, tmp_path):
         layout_file = tmp_path / "layout.yaml"
         schedule_file = tmp_path / "schedule.yaml"
-        configio.dump_yaml(configio.layout_to_dict(default_layout()), str(layout_file))
-        configio.dump_yaml(
+        dump_yaml(layout_to_dict(default_layout()), str(layout_file))
+        dump_yaml(
             {
                 "phases": [
                     {
@@ -427,7 +458,7 @@ class TestSimulate:
 
     def test_noop_schedule_zero_trace(self, tmp_path):
         schedule_file = tmp_path / "idle.yaml"
-        configio.dump_yaml(
+        dump_yaml(
             {"phases": [{"name": "idle", "fraction": 1.0, "pressures": {}}]},
             str(schedule_file),
         )
@@ -439,6 +470,20 @@ class TestSimulate:
         assert rows
         assert all(float(r.split(",")[4]) == 0.0 for r in rows)
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--duration", "nan", "cycle_duration_s"),
+        ("--duration", "inf", "cycle_duration_s"),
+        ("--dt", "nan", "dt_s"),
+        ("--tau", "nan", "tau_s"),
+        ("--tau", "inf", "tau_s"),
+        ("--cycles", "-1", "n_cycles"),
+    ])
+    def test_bad_simulate_flag_exits_1_naming_it(self, tmp_path, capsys, flag, value, name):
+        assert run(["simulate", flag, value, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be ") and err.endswith(f", got {value}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_dt_longer_than_phase_is_error(self, tmp_path, capsys):
         assert (
             run(["simulate", "--out", str(tmp_path), "--duration", "1.0", "--dt", "0.2"]) == 1
@@ -446,7 +491,7 @@ class TestSimulate:
 
     def test_over_cap_schedule_exits_2(self, tmp_path, capsys):
         schedule_file = tmp_path / "hot.yaml"
-        configio.dump_yaml(
+        dump_yaml(
             {"phases": [{"name": "hot", "fraction": 1.0, "pressures": {"knee_medial": 55.0}}]},
             str(schedule_file),
         )
@@ -465,13 +510,13 @@ class TestConfigIO:
     def test_layout_round_trip(self, tmp_path):
         layout = default_layout()
         path = tmp_path / "layout.yaml"
-        configio.dump_yaml(configio.layout_to_dict(layout), str(path))
+        dump_yaml(layout_to_dict(layout), str(path))
         assert configio.load_layout(str(path)) == layout
 
     def test_schedule_round_trip(self, tmp_path):
         schedule = default_valgus_schedule()
         path = tmp_path / "schedule.yaml"
-        configio.dump_yaml(configio.schedule_to_dict(schedule), str(path))
+        dump_yaml(schedule_to_dict(schedule), str(path))
         assert configio.load_schedule(str(path)) == schedule
 
     def test_unknown_kind_rejected(self):

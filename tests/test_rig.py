@@ -10,7 +10,6 @@ from shellact.rig import (
     default_noise_sigma_n,
     generate_sweep,
     generate_sweep_csv,
-    precondition_cycles,
     true_loss,
 )
 from shellact.sweep import SweepProtocol, compute_loss_series, fit_linear_loss
@@ -122,22 +121,16 @@ class TestNoise:
 
 
 class TestProvenance:
-    def test_conditioning_log(self):
-        assert precondition_cycles(0) == []
-        log = precondition_cycles(10)
-        assert len(log) == 10
-        assert log[0].startswith("conditioning cycle 1/10")
-
     def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            precondition_cycles(-1)
+        with pytest.raises(ValueError, match="conditioning_cycles must be >= 0"):
+            make_cfg(conditioning_cycles=-1)
 
     def test_csv_carries_comment_header(self):
         text = generate_sweep_csv(make_cfg(seed=5))
         lines = text.splitlines()
         assert lines[0] == "# seed: 5"
         assert any(l.startswith("# config:") for l in lines)
-        assert sum(1 for l in lines if "conditioning cycle" in l) == 10
+        assert "# conditioning_cycles: 10" in lines
 
 
 class TestConfigValidation:

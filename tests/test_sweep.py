@@ -10,15 +10,11 @@ from shellact.geometry import Circle, equal_area_family, ideal_force
 from shellact.loss import BALLOON_LOSS, balloon_spec, loss_fraction, predicted_force
 from shellact.rig import RigConfig, generate_sweep
 from shellact.sweep import (
-    DuplicateTrial,
-    EmptySweep,
     FitError,
-    MissingStep,
-    OverCap,
     SweepDataset,
     SweepProtocol,
-    TrialCountMismatch,
     UnknownShapeError,
+    Violation,
     compute_loss_series,
     comparison_report,
     fit_linear_loss,
@@ -127,42 +123,67 @@ class TestAggregation:
             SweepDataset(("c",), np.array([1]), *one[1:])
 
 
+def broken_sweep(kind):
+    """validate_sweep's violations for a sweep broken in the way ``kind`` names."""
+    rows = rows_of(make_clean_dataset())
+    protocol = SweepProtocol()
+    if kind == "empty sweep":
+        return validate_sweep({}, protocol)
+    if kind == "missing step":
+        rows = [r for r in rows if not (r[0] == "square" and r[1] == 45.0)]
+    elif kind == "trial count mismatch":
+        rows = [r for r in rows if not (r[0] == "circle" and r[1] == 30.0 and r[2] == 3)]
+    elif kind == "duplicate trial":
+        # two trial-1 rows and no trial 2: the row count matches the protocol
+        rows = [(sid, p, 1 if (sid, p, t) == ("circle", 30.0, 2) else t, f)
+                for sid, p, t, f in rows]
+    else:
+        rows = [("c", 70.0, t, 50.0) for t in (1, 2, 3)]
+        protocol = SweepProtocol(start_kpa=70.0, stop_kpa=70.0)
+    return validate_sweep(dataset(rows).aggregates(), protocol)
+
+
 class TestValidateSweep:
     def test_empty_sweep_is_a_violation(self):
-        assert validate_sweep({}, SweepProtocol()) == [EmptySweep()]
-        assert str(EmptySweep()) == "empty sweep: the dataset has no measurement rows"
+        assert broken_sweep("empty sweep") == [
+            Violation("empty sweep", "the dataset has no measurement rows")
+        ]
 
     def test_conformant_dataset(self):
         assert validate_sweep(make_clean_dataset().aggregates(), SweepProtocol()) == []
 
     def test_missing_step(self):
-        rows = rows_of(make_clean_dataset())
-        filtered = dataset(r for r in rows if not (r[0] == "square" and r[1] == 45.0))
-        violations = validate_sweep(filtered.aggregates(), SweepProtocol())
-        assert violations == [MissingStep("square", 45.0)]
+        assert broken_sweep("missing step") == [
+            Violation("missing step", "shape 'square' has no 45 kPa record")
+        ]
 
     def test_trial_count_mismatch(self):
-        rows = rows_of(make_clean_dataset())
-        dropped = dataset(r for r in rows if not (r[0] == "circle" and r[1] == 30.0 and r[2] == 3))
-        violations = validate_sweep(dropped.aggregates(), SweepProtocol())
-        assert violations == [TrialCountMismatch("circle", 30.0, 3, 2)]
+        assert broken_sweep("trial count mismatch") == [
+            Violation("trial count mismatch", "shape 'circle' at 30 kPa has 2 trials, expected 3")
+        ]
 
     def test_duplicate_trial(self):
-        # two trial-1 rows and no trial 2: the row count matches the protocol
-        rows = rows_of(make_clean_dataset())
-        twice = dataset(
-            (sid, p, 1 if (sid, p, t) == ("circle", 30.0, 2) else t, f) for sid, p, t, f in rows
-        )
-        violations = validate_sweep(twice.aggregates(), SweepProtocol())
-        assert violations == [DuplicateTrial("circle", 30.0, 3, 2)]
-        assert str(violations[0]) == (
-            "duplicate trial: shape 'circle' at 30 kPa has 3 rows but 2 distinct trial ids"
-        )
+        assert broken_sweep("duplicate trial") == [Violation(
+            "duplicate trial", "shape 'circle' at 30 kPa has 3 rows but 2 distinct trial ids"
+        )]
 
     def test_over_cap(self):
-        ds = dataset(("c", 70.0, t, 50.0) for t in (1, 2, 3))
-        violations = validate_sweep(ds.aggregates(), SweepProtocol(start_kpa=70.0, stop_kpa=70.0))
-        assert OverCap("c", 70.0, 60.0) in violations
+        assert Violation(
+            "over cap", "shape 'c' record at 70 kPa exceeds the 60 kPa cap"
+        ) in broken_sweep("over cap")
+
+    # `fit` prints each after "protocol violation: "; the text is part of the CLI's output
+    @pytest.mark.parametrize("kind, text", [
+        ("empty sweep", "empty sweep: the dataset has no measurement rows"),
+        ("missing step", "missing step: shape 'square' has no 45 kPa record"),
+        ("trial count mismatch",
+         "trial count mismatch: shape 'circle' at 30 kPa has 2 trials, expected 3"),
+        ("duplicate trial",
+         "duplicate trial: shape 'circle' at 30 kPa has 3 rows but 2 distinct trial ids"),
+        ("over cap", "over cap: shape 'c' record at 70 kPa exceeds the 60 kPa cap"),
+    ])
+    def test_kind_and_text(self, kind, text):
+        assert [(v.kind, str(v)) for v in broken_sweep(kind)] == [(kind, text)]
 
 
 class TestLossSeries:
