@@ -30,7 +30,7 @@ from enum import Enum
 from itertools import accumulate
 
 from ._lazy import np
-from .geometry import reject
+from .geometry import MAX_ROWS, reject
 from .loss import ActuatorSpec, predicted_force
 from .svgchart import byte_rows, csv_field, fixed_text, join_rows
 
@@ -207,6 +207,9 @@ def run_gait_cycle(
     placements = layout.by_id()
     ids = tuple(sorted(placements))
     n_steps = int(round(n_cycles * cycle_duration_s / dt_s))
+    rows = n_steps * len(ids)
+    reject(rows, rows > MAX_ROWS, ValueError,
+           "a trace of {} rows exceeds the cap of {} rows", MAX_ROWS)
     k = np.arange(n_steps, dtype=float)
     # phase is held over the step interval [t - dt, t)
     phase = schedule.phase_index(k * dt_s / cycle_duration_s)

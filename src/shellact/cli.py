@@ -134,17 +134,17 @@ def cmd_fit(args: argparse.Namespace) -> int:
     with open(args.input, encoding="utf-8") as fh:
         ds = sweep.read_measurements_csv(fh.read())
     shapes = configio.load_shapes(args.shapes) if args.shapes else _balloon_family()
-    aggregates = ds.aggregates()
-    violations = sweep.validate_sweep(aggregates, sweep.SweepProtocol(trials=args.trials))
+    table = ds.aggregates()
+    violations = sweep.validate_sweep(table, sweep.SweepProtocol(trials=args.trials))
     if violations:
         for v in violations:
             print(f"protocol violation: {v}", file=sys.stderr)
         return EXIT_DATA
     window = (args.window[0], args.window[1])
-    series = sweep.compute_loss_series(aggregates, shapes)
+    series = sweep.compute_loss_series(table, shapes)
     fit_lines = ["shape_id,window_min_kpa,window_max_kpa,slope_per_kpa,intercept,r_squared"]
-    for shape_id in sorted(series):
-        rep = sweep.fit_linear_loss(series[shape_id], window, label=f"shape {shape_id!r}")
+    for shape_id, points in series.items():
+        rep = sweep.fit_linear_loss(points, window, label=f"shape {shape_id!r}")
         fit_lines.append(
             f"{csv_field(shape_id)},{_fmt(window[0])},{_fmt(window[1])},"
             f"{rep.slope_per_kpa:.6f},{rep.intercept:.6f},{_fmt(rep.r_squared)}"
@@ -154,21 +154,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if args.format in ("csv", "both"):
         _write(_out_path(args.out, "fit_report.csv"), fit_csv)
         # comparison table against one fit pooled over all shapes
-        pooled = sweep.fit_linear_loss(
-            [pt for s in series.values() for pt in s], window
-        ).as_model()
-        _write(
-            _out_path(args.out, "comparison.csv"),
-            sweep.write_report_csv(sweep.comparison_report(aggregates, shapes, pooled)),
-        )
+        pooled = sweep.fit_linear_loss([pt for s in series.values() for pt in s], window)
+        report = sweep.comparison_report(table, shapes, pooled.as_model())
+        _write(_out_path(args.out, "comparison.csv"), report)
     if args.format in ("svg", "both"):
         _write(
             _out_path(args.out, "loss_vs_pressure.svg"),
             line_chart_svg(
-                {sid: series[sid] for sid in sorted(series)},
-                "Force loss vs supply pressure",
-                "pressure (kPa)",
-                "loss fraction",
+                series, "Force loss vs supply pressure", "pressure (kPa)", "loss fraction"
             ),
         )
     return EXIT_OK
@@ -267,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, ValueError, OverflowError, sweep.UnknownShapeError) as exc:
+    except (OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -21,6 +21,9 @@ from ._lazy import np
 #: printed parts that are not rated beyond this.
 DEFAULT_SAFETY_CAP_KPA = 60.0
 
+#: Most rows a simulation trace or a synthetic sweep may hold, checked before allocating.
+MAX_ROWS = 10_000_000
+
 #: kPa * mm^2 -> N
 _KPA_MM2_TO_N = 1e-3
 

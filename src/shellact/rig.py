@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 from ._lazy import np
-from .geometry import ideal_force
+from .geometry import MAX_ROWS, ideal_force, reject
 from .loss import ActuatorSpec, loss_fraction
 from .sweep import SweepDataset, SweepProtocol, write_measurements_csv
 
@@ -96,6 +96,9 @@ def generate_sweep(cfg: RigConfig) -> SweepDataset:
     names = sorted(cfg.ground_truth)
     pressures = cfg.protocol.pressures()
     trials = cfg.protocol.trials
+    rows = len(names) * len(pressures) * trials
+    reject(rows, rows > MAX_ROWS, ValueError,
+           "a sweep of {} rows exceeds the cap of {} rows", MAX_ROWS)
     force = np.empty((len(names), len(pressures), trials))
     for i, shape_id in enumerate(names):
         spec = cfg.ground_truth[shape_id]

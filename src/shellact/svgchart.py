@@ -50,8 +50,9 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 def csv_field(text: str) -> str:
     """``text`` as csv.writer writes it inside a row of several fields."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[:-2]
+    # the writer quotes a field holding a terminator character: a bare CR as well as LF
+    csv.writer(buf, lineterminator="\r\n").writerow([text, ""])
+    return buf.getvalue()[:-3]
 
 
 def byte_rows(texts: list[str], width: int = 0) -> np.ndarray:

@@ -3,10 +3,10 @@
 A sweep dataset holds repeated force measurements per (shape, pressure)
 step as columns: one array per field over all rows, with shape ids stored
 once and referenced by an integer code per row. Aggregation groups the
-rows with one sort; validation against the sweep protocol, the loss
-series and the ideal-vs-predicted comparison table all take that one
-aggregate table. Ordinary least-squares fitting of the linear loss model
-and the measurement CSV reader and writer also live here.
+rows with one sort into a columnar step table; validation against the
+sweep protocol, the loss series and the comparison CSV all take that one
+table. Ordinary least-squares fitting of the linear loss model and the
+measurement CSV reader and writer also live here.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ REPORT_HEADER = [
 ]
 
 
-class UnknownShapeError(KeyError):
+class UnknownShapeError(ValueError):
     """A dataset shape_id has no registered cross-section."""
 
 
@@ -64,15 +64,21 @@ class SweepProtocol:
         return [self.start_kpa + i * self.step_kpa for i in range(n + 1)]
 
 
-@dataclass(frozen=True)
-class Aggregate:
-    mean_force_n: float
-    std_force_n: float
-    n_trials: int
-    n_distinct_trials: int
+@dataclass(frozen=True, eq=False)
+class StepTable:
+    """Per (shape_id, pressure) step statistics as columns, one entry per step.
 
+    Steps are in (shape_id, pressure) order: entry i holds the mean and
+    sample std of the trial forces of step (``shape_id[i]``,
+    ``pressure_kpa[i]``), its row count and its count of distinct trial ids.
+    """
 
-Aggregates = dict[tuple[str, float], Aggregate]
+    shape_id: tuple[str, ...]
+    pressure_kpa: np.ndarray
+    mean_force_n: np.ndarray
+    std_force_n: np.ndarray
+    n_trials: np.ndarray
+    n_distinct_trials: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,31 +110,35 @@ class SweepDataset:
         reject(f, (f < 0.0) | ~np.isfinite(f), ValueError, "force_n must be >= 0, got {!r}")
         reject(t, t < 1, ValueError, "trial must be >= 1, got {!r}")
 
-    def aggregates(self) -> Aggregates:
-        """Per (shape_id, pressure) mean and sample std of the trial forces, in key order.
+    def aggregates(self) -> StepTable:
+        """Per (shape_id, pressure) mean and sample std of the trial forces, in step order.
 
-        One lexsort groups the rows. Sums use math.fsum over exactly computed
-        terms, so the result is independent of row order.
+        One lexsort groups the rows, shape ids ranked in Python string order.
+        Sums use math.fsum over exactly computed terms, so the result is
+        independent of row order.
         """
-        if not len(self.force_n):
-            return {}
-        order = np.lexsort((self.trial, self.pressure_kpa, self.shape_code))
+        names = self.shape_names
+        rank = np.argsort(sorted(range(len(names)), key=names.__getitem__))  # each code's place
+        order = np.lexsort((self.trial, self.pressure_kpa, rank[self.shape_code]))
         code, p, t, f = (
             c[order] for c in (self.shape_code, self.pressure_kpa, self.trial, self.force_n)
         )
-        bounds = np.flatnonzero((code[1:] != code[:-1]) | (p[1:] != p[:-1])) + 1
-        starts = np.concatenate(([0], bounds))
-        out: Aggregates = {}
-        for c, pk, trials, forces in zip(
-            code[starts].tolist(), p[starts].tolist(), np.split(t, bounds), np.split(f, bounds)
-        ):
+        new_step = np.ones(len(f), bool)
+        new_step[1:] = (code[1:] != code[:-1]) | (p[1:] != p[:-1])
+        starts = np.flatnonzero(new_step)
+        stats = []
+        for forces in np.split(f, starts)[1:]:  # the piece before starts[0] is empty
             forces = forces.tolist()
             n = len(forces)
             mean = math.fsum(forces) / n
             var = math.fsum((x - mean) ** 2 for x in forces) / (n - 1) if n > 1 else 0.0
-            distinct = 1 + int(np.count_nonzero(trials[1:] != trials[:-1]))
-            out[(self.shape_names[c], pk)] = Aggregate(mean, math.sqrt(var), n, distinct)
-        return dict(sorted(out.items()))
+            stats.append((mean, math.sqrt(var)))
+        mean, std = np.array(stats).reshape(-1, 2).T
+        new_step[1:] |= t[1:] != t[:-1]  # now also marks each new trial id within a step
+        return StepTable(
+            tuple(names[c] for c in code[starts].tolist()), p[starts], mean, std,
+            np.diff(starts, append=len(f)), np.add.reduceat(new_step, starts, dtype=np.int64),
+        )
 
 
 # --- protocol validation -------------------------------------------------
@@ -146,29 +156,31 @@ class Violation:
 
 
 def validate_sweep(
-    aggregates: Aggregates,
+    table: StepTable,
     protocol: SweepProtocol,
     safety_cap_kpa: float = DEFAULT_SAFETY_CAP_KPA,
 ) -> list[Violation]:
-    """Check a dataset's aggregates against the sweep protocol; violations are data, not errors."""
-    if not aggregates:
+    """Check a dataset's step table against the sweep protocol; violations are data, not errors."""
+    if not table.shape_id:
         return [Violation("empty sweep", "the dataset has no measurement rows")]
     violations: list[Violation] = []
-    steps = protocol.pressures()
-    for shape_id in sorted({shape_id for shape_id, _ in aggregates}):
-        for p in steps:
-            agg = aggregates.get((shape_id, p))
-            if agg is None:
+    steps = list(zip(table.shape_id, table.pressure_kpa.tolist(),
+                     table.n_trials.tolist(), table.n_distinct_trials.tolist()))
+    n_trials = {(shape_id, p): n for shape_id, p, n, _ in steps}
+    for shape_id in dict.fromkeys(table.shape_id):
+        for p in protocol.pressures():
+            n = n_trials.get((shape_id, p))
+            if n is None:
                 detail = f"shape {shape_id!r} has no {p:g} kPa record"
                 violations.append(Violation("missing step", detail))
-            elif agg.n_trials != protocol.trials:
+            elif n != protocol.trials:
                 detail = (f"shape {shape_id!r} at {p:g} kPa "
-                          f"has {agg.n_trials} trials, expected {protocol.trials}")
+                          f"has {n} trials, expected {protocol.trials}")
                 violations.append(Violation("trial count mismatch", detail))
-    for (shape_id, p), agg in aggregates.items():
-        if agg.n_distinct_trials < agg.n_trials:
-            detail = (f"shape {shape_id!r} at {p:g} kPa has {agg.n_trials} rows "
-                      f"but {agg.n_distinct_trials} distinct trial ids")
+    for shape_id, p, n, distinct in steps:
+        if distinct < n:
+            detail = (f"shape {shape_id!r} at {p:g} kPa has {n} rows "
+                      f"but {distinct} distinct trial ids")
             violations.append(Violation("duplicate trial", detail))
         if p > safety_cap_kpa:
             detail = (f"shape {shape_id!r} record at {p:g} kPa "
@@ -180,24 +192,33 @@ def validate_sweep(
 # --- loss series and fitting ---------------------------------------------
 
 
-def compute_loss_series(
-    aggregates: Aggregates, shapes: dict[str, CrossSection]
-) -> dict[str, list[tuple[float, float]]]:
-    """Per-shape (pressure, mean loss) series from the aggregate mean forces.
+def _step_losses(table: StepTable, shapes: dict[str, CrossSection]) -> list[tuple[float, float]]:
+    """The (ideal force P*A, loss) of every step, in table order.
 
-    A mean force above the ideal P*A force (a negative loss) raises ValueError.
+    A shape with no cross-section raises UnknownShapeError; a mean force
+    above P*A (a negative loss) raises ValueError.
     """
-    series: dict[str, list[tuple[float, float]]] = {}
-    for (shape_id, p), agg in aggregates.items():
+    out = []
+    for shape_id, p, mean in zip(table.shape_id, table.pressure_kpa.tolist(),
+                                 table.mean_force_n.tolist()):
         if shape_id not in shapes:
-            raise UnknownShapeError(shape_id)
-        loss = loss_from_measurement(p, shapes[shape_id], agg.mean_force_n)
+            raise UnknownShapeError(f"shape {shape_id!r} has no cross-section")
+        ideal = ideal_force(p, shapes[shape_id], safety_cap_kpa=math.inf)
+        loss = loss_from_measurement(p, shapes[shape_id], mean)
         if loss < 0.0:  # the shell cannot deliver more than P*A
-            ideal = ideal_force(p, shapes[shape_id], safety_cap_kpa=math.inf)
-            raise ValueError(
-                f"shape {shape_id!r} at {p:g} kPa: mean force {agg.mean_force_n:g} N "
-                f"is above the ideal force P*A = {ideal:g} N"
-            )
+            raise ValueError(f"shape {shape_id!r} at {p:g} kPa: mean force {mean:g} N "
+                             f"is above the ideal force P*A = {ideal:g} N")
+        out.append((ideal, loss))
+    return out
+
+
+def compute_loss_series(
+    table: StepTable, shapes: dict[str, CrossSection]
+) -> dict[str, list[tuple[float, float]]]:
+    """Per-shape (pressure, mean loss) series from the step mean forces, in shape order."""
+    series: dict[str, list[tuple[float, float]]] = {}
+    for shape_id, p, (_, loss) in zip(table.shape_id, table.pressure_kpa.tolist(),
+                                      _step_losses(table, shapes)):
         series.setdefault(shape_id, []).append((p, loss))
     return series
 
@@ -260,37 +281,13 @@ def fit_linear_loss(
 # --- comparison report ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    shape_id: str
-    pressure_kpa: float
-    ideal_force_n: float
-    predicted_force_n: float
-    mean_measured_force_n: float
-    loss_fraction: float
-
-
-def comparison_report(
-    aggregates: Aggregates, shapes: dict[str, CrossSection], fitted: LossModel
-) -> list[ReportRow]:
-    """Ideal vs model-predicted vs mean measured force at every sweep aggregate."""
-    rows: list[ReportRow] = []
-    for (shape_id, p), agg in aggregates.items():
-        if shape_id not in shapes:
-            raise UnknownShapeError(shape_id)
-        ideal = ideal_force(p, shapes[shape_id], safety_cap_kpa=math.inf)
-        frac = loss_fraction(p, fitted).fraction
-        rows.append(
-            ReportRow(
-                shape_id=shape_id,
-                pressure_kpa=p,
-                ideal_force_n=ideal,
-                predicted_force_n=ideal * (1.0 - frac),
-                mean_measured_force_n=agg.mean_force_n,
-                loss_fraction=loss_from_measurement(p, shapes[shape_id], agg.mean_force_n),
-            )
-        )
-    return rows
+def comparison_report(table: StepTable, shapes: dict[str, CrossSection], fitted: LossModel) -> str:
+    """Comparison CSV text: ideal vs model-predicted vs mean measured force at every step."""
+    ideal, loss = np.array(_step_losses(table, shapes)).reshape(-1, 2).T
+    frac = np.array([loss_fraction(p, fitted).fraction for p in table.pressure_kpa.tolist()])
+    numbers = (table.pressure_kpa, ideal, ideal * (1.0 - frac), table.mean_force_n, loss)
+    ids = byte_rows([csv_field(shape_id) for shape_id in table.shape_id])
+    return ",".join(REPORT_HEADER) + "\n" + join_rows([ids, *(fixed_text(c, 4) for c in numbers)])
 
 
 # --- CSV I/O ---------------------------------------------------------------
@@ -317,10 +314,10 @@ def write_measurements_csv(ds: SweepDataset) -> str:
 
 
 def _columns(rows: list[list[str]], codes: dict[str, int]) -> tuple[np.ndarray, ...]:
-    """Parsed columns of measurement rows; ``codes`` numbers each new shape id."""
+    """Parsed columns of measurement rows; ``codes`` numbers each new shape id as first seen."""
     shape_id, pressure, trial, force = zip(*rows, strict=True)
-    for name in set(shape_id).difference(codes):
-        codes[name] = len(codes)
+    for name in dict.fromkeys(shape_id):
+        codes.setdefault(name, len(codes))
     n = len(rows)
     return (
         np.fromiter(map(codes.__getitem__, shape_id), np.intp, n),
@@ -330,58 +327,45 @@ def _columns(rows: list[list[str]], codes: dict[str, int]) -> tuple[np.ndarray, 
     )
 
 
-def _is_data(line: str) -> bool:
-    return not line.startswith("#") and bool(line.strip())
-
-
 def _row_error(lines: list[str], start: int, exc: Exception) -> ValueError:
-    """The first malformed row from data line ``start`` on, named by its line in the file."""
-    numbered = [n for n, line in enumerate(lines, 1) if _is_data(line)][start:]
-    reader = csv.reader(lines[n - 1] for n in numbered)
+    """The first malformed row after line ``start``, named by its line in the file."""
+    reader = csv.reader(lines[start:])
     try:
-        for row in reader:
+        for row in filter(None, reader):
             if len(row) != len(MEASUREMENT_HEADER):
                 raise ValueError(f"expected {len(MEASUREMENT_HEADER)} fields, got {len(row)}")
             _columns([row], {})
     except (ValueError, OverflowError, csv.Error) as bad:
-        return ValueError(f"measurement CSV line {numbered[reader.line_num - 1]}: {bad}")
+        return ValueError(f"measurement CSV line {start + reader.line_num}: {bad}")
     return ValueError(f"bad measurement CSV: {exc}")
 
 
 def read_measurements_csv(text: str) -> SweepDataset:
     """Parse a measurement CSV, a chunk of rows at a time, into a checked dataset.
 
-    '#' lines are provenance; a malformed row raises ValueError naming its line.
+    '#' and blank lines before the header are provenance; after it, each non-empty
+    line is a row, and a malformed row raises ValueError naming its line.
     """
-    lines = text.splitlines()
-    provenance = [line.lstrip("# ").rstrip() for line in lines if line.startswith("#")]
-    data = [line for line in lines if _is_data(line)]
-    if not data:
+    lines = text.splitlines(keepends=True)
+    # the header is the first line that is neither blank nor a '#' line
+    head = next((i for i, line in enumerate(lines) if line.strip() and line[0] != "#"), len(lines))
+    if head == len(lines):
         raise ValueError("empty measurement CSV")
-    reader = csv.reader(data)
+    provenance = tuple(line.lstrip("# ").rstrip() for line in lines[:head] if line.startswith("#"))
+    reader = csv.reader(lines[head:])
+    rows = filter(None, reader)  # a blank line parses as an empty row
     codes: dict[str, int] = {}
     parts = [(np.empty(0, np.intp), np.empty(0), np.empty(0, np.int64), np.empty(0))]
-    start = 0  # data lines read before the rows being parsed
+    start = head  # lines read before the rows being parsed
     try:
-        header = next(reader)
-        start = reader.line_num
-        while header == MEASUREMENT_HEADER and (rows := list(islice(reader, _CHUNK_ROWS))):
-            parts.append(_columns(rows, codes))
-            start = reader.line_num
+        header = next(rows)
+        start = head + reader.line_num
+        while header == MEASUREMENT_HEADER and (chunk := list(islice(rows, _CHUNK_ROWS))):
+            parts.append(_columns(chunk, codes))
+            start = head + reader.line_num
     except (ValueError, OverflowError, csv.Error) as exc:
         raise _row_error(lines, start, exc) from None
     if header != MEASUREMENT_HEADER:
         raise ValueError(f"bad measurement header {header!r}, expected {MEASUREMENT_HEADER!r}")
     columns = (np.concatenate(c) for c in zip(*parts))
-    return SweepDataset(tuple(codes), *columns, tuple(provenance))
-
-
-def write_report_csv(rows: list[ReportRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_HEADER)
-    for row in sorted(rows, key=lambda r: (r.shape_id, r.pressure_kpa)):
-        numbers = (row.pressure_kpa, row.ideal_force_n, row.predicted_force_n,
-                   row.mean_measured_force_n, row.loss_fraction)
-        writer.writerow([row.shape_id, *map("{:.4f}".format, numbers)])
-    return buf.getvalue()
+    return SweepDataset(tuple(codes), *columns, provenance)

@@ -1,9 +1,9 @@
 """Per-record reference implementations of the sweep pipeline.
 
 These are the row-at-a-time rig generator, measurement CSV writer and
-reader, and aggregation that the columnar `SweepDataset` code replaced.
-Tests compare the columnar code against them, and build small datasets
-from rows with `dataset`.
+reader, and per-step aggregation that the columnar `SweepDataset` code and
+its `StepTable` replaced. Tests compare the columnar code against them,
+and build small datasets from rows with `dataset`.
 """
 
 import csv
@@ -15,7 +15,7 @@ import numpy as np
 
 from shellact.geometry import ideal_force
 from shellact.rig import _config_digest, true_loss
-from shellact.sweep import MEASUREMENT_HEADER, Aggregate, SweepDataset
+from shellact.sweep import MEASUREMENT_HEADER, SweepDataset
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,14 @@ class MeasurementRecord:
             raise ValueError(f"force_n must be >= 0, got {self.force_n!r}")
         if self.trial < 1:
             raise ValueError(f"trial must be >= 1, got {self.trial!r}")
+
+
+@dataclass(frozen=True)
+class Aggregate:
+    mean_force_n: float
+    std_force_n: float
+    n_trials: int
+    n_distinct_trials: int
 
 
 def dataset(rows, provenance=()):
@@ -82,29 +90,32 @@ def write_records_csv(records, provenance):
     buf = io.StringIO()
     for line in provenance:
         buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(MEASUREMENT_HEADER)
+    buf.write(",".join(MEASUREMENT_HEADER) + "\n")
     for r in records:
-        writer.writerow([r.shape_id, f"{r.pressure_kpa:.4f}", r.trial, f"{r.force_n:.4f}"])
+        row = io.StringIO()
+        # a CR LF terminator makes the writer quote a field holding a bare CR too
+        csv.writer(row, lineterminator="\r\n").writerow(
+            [r.shape_id, f"{r.pressure_kpa:.4f}", r.trial, f"{r.force_n:.4f}"]
+        )
+        buf.write(row.getvalue()[:-2] + "\n")
     return buf.getvalue()
 
 
 def read_records_csv(text):
-    provenance = []
-    data_lines = []
-    for line in text.splitlines():
-        if line.startswith("#"):
-            provenance.append(line.lstrip("# ").rstrip())
-        elif line.strip():
-            data_lines.append(line)
-    if not data_lines:
+    """Records and provenance; '#' lines are provenance only before the header."""
+    lines = io.StringIO(text, newline="").readlines()
+    head = 0
+    while head < len(lines) and (lines[head].startswith("#") or not lines[head].strip()):
+        head += 1
+    provenance = [line.lstrip("# ").rstrip() for line in lines[:head] if line.startswith("#")]
+    rows = [row for row in csv.reader(lines[head:]) if row]
+    if not rows:
         raise ValueError("empty measurement CSV")
-    reader = csv.reader(data_lines)
-    header = next(reader)
+    header, *rows = rows
     if header != MEASUREMENT_HEADER:
         raise ValueError(f"bad measurement header {header!r}, expected {MEASUREMENT_HEADER!r}")
     records = [
-        MeasurementRecord(row[0], float(row[1]), int(row[2]), float(row[3])) for row in reader
+        MeasurementRecord(row[0], float(row[1]), int(row[2]), float(row[3])) for row in rows
     ]
     return records, provenance
 

@@ -1,7 +1,12 @@
 import csv
 import io
+import os
 import re
+import resource
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 import yaml
@@ -34,6 +39,26 @@ ENGINEERED_SPEC_YAML = {
 
 def run(args):
     return main(args)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_limited(args, stdin=""):
+    """Exit code and stderr of the CLI in a new interpreter limited to 2 GiB of address space.
+
+    A run that allocates far more than it may fails fast there instead of
+    exhausting the machine.
+    """
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "shellact.cli", *args], input=stdin, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": path}, preexec_fn=limit, timeout=120,
+    )
+    return proc.returncode, proc.stderr
 
 
 class TestGeometry:
@@ -294,6 +319,36 @@ class TestErrorContract:
         rows = list(csv.reader(io.StringIO(report)))
         assert {len(row) for row in rows} == {6}
         assert [row[0] for row in rows[1:]] == ["a,b", "rectangle", "square", "triangle"]
+
+    def test_shape_without_cross_section_exits_2_naming_it(self, tmp_path, capsys):
+        assert run(["generate", "--out", str(tmp_path)]) == 0
+        shapes = valid_config("--shapes")
+        shapes["shapes"] = {"circle": shapes["shapes"]["circle"]}
+        dump_yaml(shapes, str(tmp_path / "shapes.yaml"))
+        argv = ["fit", "--input", str(tmp_path / "measurements.csv"),
+                "--shapes", str(tmp_path / "shapes.yaml"), "--out", str(tmp_path / "out")]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: shape 'rectangle' has no cross-section\n"
+
+    def test_malformed_row_piped_to_fit_names_its_line(self, tmp_path):
+        assert run(["generate", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "measurements.csv").read_text().splitlines(keepends=True)
+        lines[11] = lines[11].rsplit(",", 1)[0] + ",4x5\n"
+        argv = ["fit", "--input", "/dev/stdin", "--out", str(tmp_path / "out")]
+        code, err = run_limited(argv, stdin="".join(lines))
+        assert (code, err) == (2, "error: measurement CSV line 12: "
+                                  "could not convert string to float: '4x5'\n")
+
+    @pytest.mark.parametrize("args, code, rows", [
+        (["simulate", "--dt", "1e-9", "--cycles", "10"], 1, "a trace of 72000000000 rows"),
+        (["generate", "--trials", "100000000"], 2, "a sweep of 4800000000 rows"),
+    ], ids=["simulate", "generate"])
+    def test_work_above_the_row_cap_is_refused(self, tmp_path, args, code, rows):
+        out = tmp_path / "out"
+        assert run_limited([*args, "--out", str(out)]) == (
+            code, f"error: {rows} exceeds the cap of 10000000 rows\n"
+        )
+        assert not out.exists()
 
     def test_header_only_sweep_exits_2_and_writes_nothing(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import random
 
@@ -21,7 +23,6 @@ from shellact.sweep import (
     read_measurements_csv,
     validate_sweep,
     write_measurements_csv,
-    write_report_csv,
 )
 from sweep_reference import (
     MeasurementRecord,
@@ -37,6 +38,24 @@ SHAPES = dict(zip(["circle", "triangle", "square", "rectangle"], equal_area_fami
 
 # points exactly on the fitted loss line over the [30, 60] window
 EXACT_POINTS = [(p, -0.005 * p + 0.522) for p in (30.0, 35.0, 40.0, 45.0, 50.0, 55.0, 60.0)]
+
+
+STEP_STATS = ("mean_force_n", "std_force_n", "n_trials", "n_distinct_trials")
+
+
+def table_columns(table):
+    """Every StepTable column as a list of (type, value) pairs of its Python values."""
+    columns = {"shape_id": list(table.shape_id)}
+    columns.update({name: getattr(table, name).tolist() for name in ("pressure_kpa", *STEP_STATS)})
+    return {name: [(type(v), v) for v in values] for name, values in columns.items()}
+
+
+def reference_columns(aggregates):
+    """The same columns from the reference's {(shape_id, pressure): Aggregate}, in key order."""
+    columns = {"shape_id": [sid for sid, _ in aggregates],
+               "pressure_kpa": [p for _, p in aggregates]}
+    columns.update({name: [getattr(a, name) for a in aggregates.values()] for name in STEP_STATS})
+    return {name: [(type(v), v) for v in values] for name, values in columns.items()}
 
 
 def make_clean_dataset(trials=3):
@@ -65,14 +84,26 @@ class TestSweepProtocol:
 class TestAggregation:
     def test_mean_is_arithmetic_mean(self):
         ds = dataset([("c", 30.0, 1, 10.0), ("c", 30.0, 2, 11.0), ("c", 30.0, 3, 12.0)])
-        agg = ds.aggregates()[("c", 30.0)]
-        assert agg.mean_force_n == pytest.approx(11.0)
-        assert agg.std_force_n == pytest.approx(1.0)
-        assert agg.n_trials == 3
-        assert agg.n_distinct_trials == 3
+        table = ds.aggregates()
+        assert (table.shape_id, table.pressure_kpa.tolist()) == (("c",), [30.0])
+        assert table.mean_force_n.tolist() == [pytest.approx(11.0)]
+        assert table.std_force_n.tolist() == [pytest.approx(1.0)]
+        assert table.n_trials.tolist() == [3]
+        assert table.n_distinct_trials.tolist() == [3]
+
+    def test_steps_in_shape_id_then_pressure_order(self):
+        rows = [("b", 10.0, 1, 1.0), ("a\x00", 5.0, 1, 2.0), ("a", 10.0, 1, 3.0),
+                ("a", 5.0, 2, 4.0), ("a", 5.0, 1, 5.0)]
+        table = dataset(rows).aggregates()
+        assert table.shape_id == ("a", "a", "a\x00", "b")
+        assert table.pressure_kpa.tolist() == [5.0, 10.0, 5.0, 10.0]
+        assert table.mean_force_n.tolist() == [4.5, 3.0, 2.0, 1.0]
+        assert table.n_distinct_trials.tolist() == [2, 1, 1, 1]
 
     def test_empty_dataset_has_no_aggregates(self):
-        assert dataset([]).aggregates() == {}
+        table = dataset([]).aggregates()
+        assert table.shape_id == ()
+        assert all(not values for values in table_columns(table).values())
 
     def test_permutation_invariance(self):
         ds = make_clean_dataset()
@@ -81,7 +112,7 @@ class TestAggregation:
         for _ in range(5):
             rng.shuffle(rows)
             shuffled = dataset(rows)
-            assert shuffled.aggregates() == ds.aggregates()
+            assert table_columns(shuffled.aggregates()) == table_columns(ds.aggregates())
             series = compute_loss_series(shuffled.aggregates(), SHAPES)
             rep = fit_linear_loss(series["circle"])
             rep0 = fit_linear_loss(compute_loss_series(ds.aggregates(), SHAPES)["circle"])
@@ -128,7 +159,7 @@ def broken_sweep(kind):
     rows = rows_of(make_clean_dataset())
     protocol = SweepProtocol()
     if kind == "empty sweep":
-        return validate_sweep({}, protocol)
+        return validate_sweep(dataset([]).aggregates(), protocol)
     if kind == "missing step":
         rows = [r for r in rows if not (r[0] == "square" and r[1] == 45.0)]
     elif kind == "trial count mismatch":
@@ -204,7 +235,7 @@ class TestLossSeries:
 
     def test_unknown_shape(self):
         ds = dataset([("mystery", 30.0, 1, 10.0)])
-        with pytest.raises(UnknownShapeError):
+        with pytest.raises(UnknownShapeError, match="^shape 'mystery' has no cross-section$"):
             compute_loss_series(ds.aggregates(), SHAPES)
 
 
@@ -310,14 +341,19 @@ class TestFitLinearLoss:
             assert abs((rep.slope_per_kpa * ps.mean() + rep.intercept) - gc) <= res_c
 
 
+def report_rows(table, shapes=SHAPES, fitted=BALLOON_LOSS):
+    """comparison_report's CSV rows as dicts, numbers parsed back to floats."""
+    rows = list(csv.DictReader(io.StringIO(comparison_report(table, shapes, fitted))))
+    return [{k: v if k == "shape_id" else float(v) for k, v in row.items()} for row in rows]
+
+
 class TestComparisonReport:
     def test_reference_row_values(self):
-        ds = make_clean_dataset()
-        rows = comparison_report(ds.aggregates(), SHAPES, BALLOON_LOSS)
-        at60 = next(r for r in rows if r.shape_id == "circle" and r.pressure_kpa == 60.0)
-        assert at60.ideal_force_n == pytest.approx(117.81, abs=0.01)
-        assert at60.predicted_force_n == pytest.approx(91.66, abs=0.01)
-        assert at60.mean_measured_force_n == pytest.approx(91.66, abs=0.01)
+        rows = report_rows(make_clean_dataset().aggregates())
+        at60 = next(r for r in rows if r["shape_id"] == "circle" and r["pressure_kpa"] == 60.0)
+        assert at60["ideal_force_n"] == pytest.approx(117.81, abs=0.01)
+        assert at60["predicted_force_n"] == pytest.approx(91.66, abs=0.01)
+        assert at60["mean_measured_force_n"] == pytest.approx(91.66, abs=0.01)
 
     def test_shape_loss_ordering_on_synthetic_data(self):
         # built to the reported ordering: square/rectangle lose least,
@@ -329,8 +365,8 @@ class TestComparisonReport:
             for p in (30.0, 40.0, 50.0, 60.0):
                 loss = loss_fraction(p, spec.loss_model).fraction + offsets[sid]
                 records.append((sid, p, 1, ideal_force(p, cs) * (1 - loss)))
-        rows = comparison_report(dataset(records).aggregates(), SHAPES, BALLOON_LOSS)
-        by = {(r.shape_id, r.pressure_kpa): r.loss_fraction for r in rows}
+        rows = report_rows(dataset(records).aggregates())
+        by = {(r["shape_id"], r["pressure_kpa"]): r["loss_fraction"] for r in rows}
         for p in (30.0, 40.0, 50.0, 60.0):
             assert by[("square", p)] <= by[("circle", p)] <= by[("triangle", p)]
             assert by[("rectangle", p)] <= by[("circle", p)]
@@ -354,12 +390,20 @@ class TestCsvRoundTrip:
         assert read_measurements_csv(text).provenance == ("seed: 42",)
 
     def test_report_csv_header(self):
-        rows = comparison_report(make_clean_dataset().aggregates(), SHAPES, BALLOON_LOSS)
-        text = write_report_csv(rows)
+        text = comparison_report(make_clean_dataset().aggregates(), SHAPES, BALLOON_LOSS)
         assert text.splitlines()[0] == (
             "shape_id,pressure_kpa,ideal_force_n,predicted_force_n,"
             "mean_measured_force_n,loss_fraction"
         )
+
+    @pytest.mark.parametrize("shape_id", ["#x", "a\nb", "a\r\nb", "a\n\nb", "a\rb", "a,b", 'a"b'])
+    def test_shape_id_round_trip(self, shape_id):
+        rows = [("c", 30.0, 1, 10.0), (shape_id, 30.0, 1, 10.0), (shape_id, 35.0, 2, 12.5)]
+        ds = dataset(rows, ("seed: 1",))
+        back = read_measurements_csv(write_measurements_csv(ds))
+        assert back.shape_names == ds.shape_names
+        assert rows_of(back) == rows
+        assert back.provenance == ds.provenance
 
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
@@ -370,9 +414,11 @@ class TestCsvRoundTrip:
         [
             ("circle,30.0\n", "line 5: expected 4 fields, got 2"),
             ("circle,30.0,1,2.0,9\n", "line 5: expected 4 fields, got 5"),
+            # after the header a '#' line is a row, not provenance
+            ("circle,30.0,1,2.0\n\n# note\ncircle,x,2,2.0\n", "line 7: expected 4 fields, got 1"),
             (
-                "circle,30.0,1,2.0\n\n# note\ncircle,x,2,2.0\n",
-                "line 8: could not convert string to float: 'x'",
+                "circle,30.0,1,2.0\n\ncircle,x,2,2.0\n",
+                "line 7: could not convert string to float: 'x'",
             ),
             ("circle,30.0,1.5,2.0\n", "line 5: invalid literal for int() with base 10: '1.5'"),
             ("circle,30.0,99999999999999999999,2.0\n", "line 5: Python int too large"),
@@ -413,17 +459,19 @@ def assert_matches_reference(cfg):
     assert write_measurements_csv(generate_sweep(cfg)) == text
     back = read_measurements_csv(text)
     ref_records, ref_provenance = read_records_csv(text)
-    assert back.provenance == tuple(ref_provenance)
-    aggregates = back.aggregates()
-    assert aggregates == aggregate_records(ref_records)
-    for (sid, p), agg in aggregates.items():
-        assert (type(sid), type(p)) == (str, float)
-        assert [type(v) for v in vars(agg).values()] == [float, float, int, int]
+    assert back.shape_names == tuple(sorted(cfg.ground_truth))
+    assert [r.shape_id for r in ref_records] == [r.shape_id for r in records]
+    assert back.provenance == tuple(ref_provenance) == tuple(provenance)
+    assert table_columns(back.aggregates()) == reference_columns(aggregate_records(ref_records))
 
 
-# shape ids that need CSV quoting, besides free text without line breaks
-SHAPE_ID = st.sampled_from(["circle", "a,b", 'q"x', "", " pad ", "#x"]) | st.text(
-    st.characters(blacklist_categories=("Cs", "Zl", "Zp", "Cc")), max_size=5
+# shape ids that need CSV quoting or look like provenance, besides free text; an
+# unquoted id may not hold a line break that str.splitlines splits on and
+# csv_field leaves unquoted
+SHAPE_ID = st.sampled_from(["circle", "a,b", 'q"x', "", " pad ", "#x", "a\nb", "a\rb"]) | st.text(
+    st.characters(blacklist_categories=("Cs", "Zl", "Zp"),
+                  blacklist_characters="\x0b\x0c\x1c\x1d\x1e\x85"),
+    max_size=5,
 )
 
 
