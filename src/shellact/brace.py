@@ -195,8 +195,8 @@ def run_gait_cycle(
     for name, value in (("cycle_duration_s", cycle_duration_s), ("dt_s", dt_s), ("tau_s", tau_s)):
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be finite and > 0, got {value}")
-    if n_cycles < 0:
-        raise ValueError(f"n_cycles must be >= 0, got {n_cycles}")
+    if not 0 <= n_cycles <= MAX_ROWS:  # a cycle has at least one step, so more pass the cap
+        raise ValueError(f"n_cycles must be between 0 and {MAX_ROWS}, got {n_cycles}")
     shortest = min(ph.fraction for ph in schedule.phases) * cycle_duration_s
     if dt_s >= shortest:
         raise ScheduleError(
@@ -206,11 +206,11 @@ def run_gait_cycle(
     alpha = 1.0 - math.exp(-dt_s / tau_s)  # exact discrete step of the first-order lag
     placements = layout.by_id()
     ids = tuple(sorted(placements))
-    n_steps = int(round(n_cycles * cycle_duration_s / dt_s))
+    n_steps = round(n_cycles * cycle_duration_s / dt_s, 0)  # a float, inf for a subnormal dt_s
     rows = n_steps * len(ids)
     reject(rows, rows > MAX_ROWS, ValueError,
-           "a trace of {} rows exceeds the cap of {} rows", MAX_ROWS)
-    k = np.arange(n_steps, dtype=float)
+           "a trace of {:.0f} rows exceeds the cap of {} rows", MAX_ROWS)
+    k = np.arange(int(n_steps), dtype=float)
     # phase is held over the step interval [t - dt, t)
     phase = schedule.phase_index(k * dt_s / cycle_duration_s)
     table = [[ph.pressures_kpa.get(aid, 0.0) for aid in ids] for ph in schedule.phases]

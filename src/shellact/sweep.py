@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import warnings
 from dataclasses import dataclass
 from itertools import islice
 
@@ -313,59 +314,61 @@ def write_measurements_csv(ds: SweepDataset) -> str:
     return buf.getvalue()
 
 
-def _columns(rows: list[list[str]], codes: dict[str, int]) -> tuple[np.ndarray, ...]:
-    """Parsed columns of measurement rows; ``codes`` numbers each new shape id as first seen."""
-    shape_id, pressure, trial, force = zip(*rows, strict=True)
-    for name in dict.fromkeys(shape_id):
-        codes.setdefault(name, len(codes))
-    n = len(rows)
-    return (
-        np.fromiter(map(codes.__getitem__, shape_id), np.intp, n),
-        np.fromiter(map(float, pressure), float, n),
-        np.fromiter(map(int, trial), np.int64, n),
-        np.fromiter(map(float, force), float, n),
-    )
+def _utf8(latin1: str) -> str:
+    """The text whose UTF-8 bytes are the characters of ``latin1``."""
+    return latin1.encode("latin-1").decode("utf-8", "surrogatepass")
 
 
-def _row_error(lines: list[str], start: int, exc: Exception) -> ValueError:
-    """The first malformed row after line ``start``, named by its line in the file."""
-    reader = csv.reader(lines[start:])
+def _row_error(text: str, head: int, exc: Exception) -> ValueError:
+    """The first row after the ``head`` lines of ``text`` that np.loadtxt refuses, by its line."""
+    reader = csv.reader(islice(io.StringIO(text, newline=""), head, None))
     try:
         for row in filter(None, reader):
             if len(row) != len(MEASUREMENT_HEADER):
                 raise ValueError(f"expected {len(MEASUREMENT_HEADER)} fields, got {len(row)}")
-            _columns([row], {})
+            for field, kind in zip(row[1:], (float, np.int64, float)):
+                # unlike Python, loadtxt refuses '_' and non-ASCII text, and strips \x1c-\x1f
+                if "_" in field or not field.isascii():
+                    raise ValueError(f"could not convert string to {kind.__name__}: {field!r}")
+                kind(field.strip())  # np.int64 parses as int() does, within the int64 range
     except (ValueError, OverflowError, csv.Error) as bad:
-        return ValueError(f"measurement CSV line {start + reader.line_num}: {bad}")
+        return ValueError(f"measurement CSV line {head + reader.line_num}: {bad}")
     return ValueError(f"bad measurement CSV: {exc}")
 
 
 def read_measurements_csv(text: str) -> SweepDataset:
     """Parse a measurement CSV, a chunk of rows at a time, into a checked dataset.
 
-    '#' and blank lines before the header are provenance; after it, each non-empty
-    line is a row, and a malformed row raises ValueError naming its line.
+    Lines end at LF, CR or CR LF. '#' and blank lines before the header are provenance;
+    after it, each non-empty line is a row, and a malformed row raises ValueError naming its line.
     """
-    lines = text.splitlines(keepends=True)
-    # the header is the first line that is neither blank nor a '#' line
-    head = next((i for i, line in enumerate(lines) if line.strip() and line[0] != "#"), len(lines))
-    if head == len(lines):
+    # loadtxt reads the UTF-8 bytes as Latin-1: its int64 parser takes characters above
+    # U+00FF for digits, and a StringIO would copy the text at four bytes a character
+    stream = io.TextIOWrapper(io.BytesIO(text.encode("utf-8", "surrogatepass")),
+                              encoding="latin-1", newline="")
+    provenance = []
+    for head, line in enumerate(map(_utf8, stream), 1):  # head counts the header too
+        if line[0] == "#":
+            provenance.append(line.lstrip("# ").rstrip())
+        elif line.strip():
+            break
+    else:
         raise ValueError("empty measurement CSV")
-    provenance = tuple(line.lstrip("# ").rstrip() for line in lines[:head] if line.startswith("#"))
-    reader = csv.reader(lines[head:])
-    rows = filter(None, reader)  # a blank line parses as an empty row
-    codes: dict[str, int] = {}
-    parts = [(np.empty(0, np.intp), np.empty(0), np.empty(0, np.int64), np.empty(0))]
-    start = head  # lines read before the rows being parsed
-    try:
-        header = next(rows)
-        start = head + reader.line_num
-        while header == MEASUREMENT_HEADER and (chunk := list(islice(rows, _CHUNK_ROWS))):
-            parts.append(_columns(chunk, codes))
-            start = head + reader.line_num
-    except (ValueError, OverflowError, csv.Error) as exc:
-        raise _row_error(lines, start, exc) from None
+    header = next(csv.reader([line]))
     if header != MEASUREMENT_HEADER:
         raise ValueError(f"bad measurement header {header!r}, expected {MEASUREMENT_HEADER!r}")
-    columns = (np.concatenate(c) for c in zip(*parts))
-    return SweepDataset(tuple(codes), *columns, provenance)
+    codes: dict[str, int] = {}  # each shape id numbered as first seen
+    parts: list[tuple[np.ndarray, ...]] = []
+    try:
+        with warnings.catch_warnings():  # loadtxt warns of blank lines and of an empty body
+            warnings.simplefilter("ignore", UserWarning)
+            while not parts or len(parts[-1][0]) == _CHUNK_ROWS:
+                rows = np.loadtxt(stream, dtype="O,f8,i8,f8", delimiter=",", quotechar='"',
+                                  comments=None, ndmin=1, max_rows=_CHUNK_ROWS)
+                code = [codes.setdefault(name, len(codes)) for name in rows["f0"].tolist()]
+                parts.append((np.array(code, np.intp),
+                              *(rows[f].copy() for f in ("f1", "f2", "f3"))))
+    except ValueError as exc:
+        raise _row_error(text, head, exc) from None
+    return SweepDataset(tuple(map(_utf8, codes)), *map(np.concatenate, zip(*parts)),
+                        tuple(provenance))

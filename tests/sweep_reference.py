@@ -9,6 +9,7 @@ and build small datasets from rows with `dataset`.
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,23 +102,50 @@ def write_records_csv(records, provenance):
     return buf.getvalue()
 
 
+# the numbers the reader takes: ASCII text, no '_' separators, whitespace around
+FLOAT = re.compile(r"[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf|infinity|nan)", re.I | re.A)
+INT = re.compile(r"[+-]?\d+", re.A)
+
+
+def parse_number(field, pattern, kind):
+    text = field.strip()
+    if not field.isascii() or not pattern.fullmatch(text):
+        raise ValueError(f"not a number: {field!r}")
+    value = kind(text)
+    if kind is int and not -(2**63) <= value < 2**63:
+        raise ValueError(f"beyond int64: {field!r}")
+    return value
+
+
 def read_records_csv(text):
-    """Records and provenance; '#' lines are provenance only before the header."""
+    """Records and provenance; '#' lines are provenance only before the header.
+
+    Lines end at LF, CR or CR LF. A refused row raises ValueError starting
+    'measurement CSV line N:'; values out of range raise as MeasurementRecord does.
+    """
     lines = io.StringIO(text, newline="").readlines()
     head = 0
     while head < len(lines) and (lines[head].startswith("#") or not lines[head].strip()):
         head += 1
     provenance = [line.lstrip("# ").rstrip() for line in lines[:head] if line.startswith("#")]
-    rows = [row for row in csv.reader(lines[head:]) if row]
-    if not rows:
+    if head == len(lines):
         raise ValueError("empty measurement CSV")
-    header, *rows = rows
+    header = next(csv.reader([lines[head]]))
     if header != MEASUREMENT_HEADER:
         raise ValueError(f"bad measurement header {header!r}, expected {MEASUREMENT_HEADER!r}")
-    records = [
-        MeasurementRecord(row[0], float(row[1]), int(row[2]), float(row[3])) for row in rows
-    ]
-    return records, provenance
+    reader = csv.reader(lines[head + 1:])
+    rows = []
+    for row in reader:
+        if not row:
+            continue
+        try:
+            if len(row) != len(MEASUREMENT_HEADER):
+                raise ValueError(f"{len(row)} fields")
+            rows.append((row[0], parse_number(row[1], FLOAT, float),
+                         parse_number(row[2], INT, int), parse_number(row[3], FLOAT, float)))
+        except ValueError as exc:
+            raise ValueError(f"measurement CSV line {head + 1 + reader.line_num}: {exc}") from None
+    return [MeasurementRecord(*row) for row in rows], provenance
 
 
 def aggregate_records(records):

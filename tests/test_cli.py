@@ -342,7 +342,8 @@ class TestErrorContract:
     @pytest.mark.parametrize("args, code, rows", [
         (["simulate", "--dt", "1e-9", "--cycles", "10"], 1, "a trace of 72000000000 rows"),
         (["generate", "--trials", "100000000"], 2, "a sweep of 4800000000 rows"),
-    ], ids=["simulate", "generate"])
+        (["simulate", "--dt", "1e-320"], 1, "a trace of inf rows"),
+    ], ids=["simulate", "generate", "simulate-subnormal-dt"])
     def test_work_above_the_row_cap_is_refused(self, tmp_path, args, code, rows):
         out = tmp_path / "out"
         assert run_limited([*args, "--out", str(out)]) == (
@@ -350,6 +351,7 @@ class TestErrorContract:
         )
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
     def test_header_only_sweep_exits_2_and_writes_nothing(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("shape_id,pressure_kpa,trial,force_n\n")
@@ -532,6 +534,8 @@ class TestSimulate:
         ("--tau", "nan", "tau_s"),
         ("--tau", "inf", "tau_s"),
         ("--cycles", "-1", "n_cycles"),
+        # beyond float range: the step count must not be computed first
+        pytest.param("--cycles", "1" + "0" * 400, "n_cycles", id="--cycles-10**400-n_cycles"),
     ])
     def test_bad_simulate_flag_exits_1_naming_it(self, tmp_path, capsys, flag, value, name):
         assert run(["simulate", flag, value, "--out", str(tmp_path / "out")]) == 1
