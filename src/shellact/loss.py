@@ -34,8 +34,8 @@ def _exp(x):
 
 def _clamped_loss(pressure_kpa, model: LossModel):
     raw = model.raw(pressure_kpa)
-    if getattr(raw, "ndim", 0):
-        return np.fmin(1.0, np.fmax(0.0, raw))  # like min/max below, NaN clamps to 0.0
+    if getattr(raw, "ndim", 0):  # NaN clamps to 0.0, as with min/max below
+        return np.where(raw > 0.0, np.where(raw < 1.0, raw, 1.0), 0.0)
     return min(1.0, max(0.0, raw))
 
 

@@ -7,11 +7,11 @@ side reads. Below the pre-pressurization knee the bladder is still filling
 the shell cavity, so the loss is blended linearly from a configurable
 start value down to the model's value at the knee.
 
-The random stream is a single seeded PCG64 consumed in a fixed order: one
-vector draw of ``trials`` values per step, shapes sorted by id, pressures
-ascending. It yields the same values as one scalar draw per trial from the
-same stream, so a config plus seed fully determines the output bytes. The
-dataset is built as columns (see :class:`~shellact.sweep.SweepDataset`).
+The random stream is a single seeded PCG64 drawn once for the whole
+sweep's noise, a [shapes, pressures, trials] array with shapes sorted by id
+and pressures ascending. It yields the same values as one scalar draw per
+trial in that order, so a config plus seed fully determines the output
+bytes. The dataset is built as columns (see :class:`~shellact.sweep.SweepDataset`).
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ class RigConfig:
     def __post_init__(self) -> None:
         if not self.ground_truth:
             raise ValueError("ground_truth must name at least one actuator")
-        if self.noise_sigma_n < 0.0:
-            raise ValueError("noise_sigma_n must be >= 0")
+        if not 0.0 <= self.noise_sigma_n < math.inf:
+            raise ValueError(f"noise_sigma_n must be finite and >= 0, got {self.noise_sigma_n!r}")
         if not 0.0 <= self.pre_knee_start_loss <= 1.0:
             raise ValueError("pre_knee_start_loss must be in [0, 1]")
         if self.conditioning_cycles < 0:
@@ -77,38 +77,33 @@ def _config_digest(cfg: RigConfig) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def true_loss(cfg: RigConfig, spec: ActuatorSpec, pressure_kpa: float) -> float:
-    """Ground-truth loss including the pre-pressurization blend below the knee."""
+def true_loss(cfg: RigConfig, spec: ActuatorSpec, pressure_kpa):
+    """Ground-truth loss, blended linearly below the knee, at a float or an array of pressures."""
     model_loss = loss_fraction(pressure_kpa, spec.loss_model).fraction
-    if pressure_kpa >= cfg.pre_knee_kpa:
+    knee, p0, start = cfg.pre_knee_kpa, cfg.protocol.start_kpa, cfg.pre_knee_start_loss
+    if knee <= p0:
         return model_loss
-    p0 = cfg.protocol.start_kpa
-    if cfg.pre_knee_kpa <= p0:
-        return model_loss
-    knee_loss = loss_fraction(cfg.pre_knee_kpa, spec.loss_model).fraction
-    t = (pressure_kpa - p0) / (cfg.pre_knee_kpa - p0)
-    return cfg.pre_knee_start_loss + (knee_loss - cfg.pre_knee_start_loss) * t
+    knee_loss = loss_fraction(knee, spec.loss_model).fraction
+    blend = start + (knee_loss - start) * ((pressure_kpa - p0) / (knee - p0))
+    return np.where(pressure_kpa >= knee, model_loss, blend)[()]
 
 
 def generate_sweep(cfg: RigConfig) -> SweepDataset:
     """Run the synthetic sweep; identical config and seed give identical bytes."""
     rng = np.random.default_rng(cfg.seed)
     names = sorted(cfg.ground_truth)
-    pressures = cfg.protocol.pressures()
+    pressures = np.array(cfg.protocol.pressures())
     trials = cfg.protocol.trials
     rows = len(names) * len(pressures) * trials
     reject(rows, rows > MAX_ROWS, ValueError,
            "a sweep of {} rows exceeds the cap of {} rows", MAX_ROWS)
-    force = np.empty((len(names), len(pressures), trials))
-    for i, shape_id in enumerate(names):
-        spec = cfg.ground_truth[shape_id]
-        for j, p in enumerate(pressures):
-            ideal = ideal_force(p, spec.cross_section, safety_cap_kpa=spec.max_pressure_kpa)
-            clean = ideal * (1.0 - true_loss(cfg, spec, p))
-            noise = rng.normal(0.0, cfg.noise_sigma_n, trials) if cfg.noise_sigma_n > 0.0 else 0.0
-            measured = clean + noise
-            # a where, not np.maximum, so -0.0 is written as 0.0000
-            force[i, j] = np.where(measured > 0.0, measured, 0.0)
+    specs = [cfg.ground_truth[name] for name in names]
+    clean = np.array([ideal_force(pressures, s.cross_section, safety_cap_kpa=s.max_pressure_kpa)
+                      * (1.0 - true_loss(cfg, s, pressures)) for s in specs])
+    # sigma 0 draws zeros: the noise is 0.0 + 0.0 * z
+    force = rng.normal(0.0, cfg.noise_sigma_n, (len(names), len(pressures), trials))
+    force += clean[:, :, None]
+    force[force <= 0.0] = 0.0  # not np.maximum, so -0.0 is written as 0.0000
     provenance = [
         f"seed: {cfg.seed}",
         f"config: {_config_digest(cfg)}",

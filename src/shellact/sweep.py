@@ -69,15 +69,14 @@ class SweepProtocol:
 class StepTable:
     """Per (shape_id, pressure) step statistics as columns, one entry per step.
 
-    Steps are in (shape_id, pressure) order: entry i holds the mean and
-    sample std of the trial forces of step (``shape_id[i]``,
-    ``pressure_kpa[i]``), its row count and its count of distinct trial ids.
+    Steps are in (shape_id, pressure) order: entry i holds the mean trial
+    force of step (``shape_id[i]``, ``pressure_kpa[i]``), its row count and
+    its count of distinct trial ids.
     """
 
     shape_id: tuple[str, ...]
     pressure_kpa: np.ndarray
     mean_force_n: np.ndarray
-    std_force_n: np.ndarray
     n_trials: np.ndarray
     n_distinct_trials: np.ndarray
 
@@ -112,11 +111,10 @@ class SweepDataset:
         reject(t, t < 1, ValueError, "trial must be >= 1, got {!r}")
 
     def aggregates(self) -> StepTable:
-        """Per (shape_id, pressure) mean and sample std of the trial forces, in step order.
+        """Per (shape_id, pressure) mean of the trial forces, in step order.
 
         One lexsort groups the rows, shape ids ranked in Python string order.
-        Sums use math.fsum over exactly computed terms, so the result is
-        independent of row order.
+        Each mean is a math.fsum, so the result is independent of row order.
         """
         names = self.shape_names
         rank = np.argsort(sorted(range(len(names)), key=names.__getitem__))  # each code's place
@@ -127,17 +125,11 @@ class SweepDataset:
         new_step = np.ones(len(f), bool)
         new_step[1:] = (code[1:] != code[:-1]) | (p[1:] != p[:-1])
         starts = np.flatnonzero(new_step)
-        stats = []
-        for forces in np.split(f, starts)[1:]:  # the piece before starts[0] is empty
-            forces = forces.tolist()
-            n = len(forces)
-            mean = math.fsum(forces) / n
-            var = math.fsum((x - mean) ** 2 for x in forces) / (n - 1) if n > 1 else 0.0
-            stats.append((mean, math.sqrt(var)))
-        mean, std = np.array(stats).reshape(-1, 2).T
+        pieces = np.split(f, starts)[1:]  # the piece before starts[0] is empty
+        mean = np.array([math.fsum(x.tolist()) / len(x) for x in pieces], float)
         new_step[1:] |= t[1:] != t[:-1]  # now also marks each new trial id within a step
         return StepTable(
-            tuple(names[c] for c in code[starts].tolist()), p[starts], mean, std,
+            tuple(names[c] for c in code[starts].tolist()), p[starts], mean,
             np.diff(starts, append=len(f)), np.add.reduceat(new_step, starts, dtype=np.int64),
         )
 
@@ -285,7 +277,7 @@ def fit_linear_loss(
 def comparison_report(table: StepTable, shapes: dict[str, CrossSection], fitted: LossModel) -> str:
     """Comparison CSV text: ideal vs model-predicted vs mean measured force at every step."""
     ideal, loss = np.array(_step_losses(table, shapes)).reshape(-1, 2).T
-    frac = np.array([loss_fraction(p, fitted).fraction for p in table.pressure_kpa.tolist()])
+    frac = loss_fraction(table.pressure_kpa, fitted).fraction
     numbers = (table.pressure_kpa, ideal, ideal * (1.0 - frac), table.mean_force_n, loss)
     ids = byte_rows([csv_field(shape_id) for shape_id in table.shape_id])
     return ",".join(REPORT_HEADER) + "\n" + join_rows([ids, *(fixed_text(c, 4) for c in numbers)])
@@ -322,6 +314,7 @@ def _utf8(latin1: str) -> str:
 def _row_error(text: str, head: int, exc: Exception) -> ValueError:
     """The first row after the ``head`` lines of ``text`` that np.loadtxt refuses, by its line."""
     reader = csv.reader(islice(io.StringIO(text, newline=""), head, None))
+    limit = csv.field_size_limit(len(text))  # loadtxt reads a field of any length
     try:
         for row in filter(None, reader):
             if len(row) != len(MEASUREMENT_HEADER):
@@ -333,6 +326,8 @@ def _row_error(text: str, head: int, exc: Exception) -> ValueError:
                 kind(field.strip())  # np.int64 parses as int() does, within the int64 range
     except (ValueError, OverflowError, csv.Error) as bad:
         return ValueError(f"measurement CSV line {head + reader.line_num}: {bad}")
+    finally:
+        csv.field_size_limit(limit)  # the limit is process-wide
     return ValueError(f"bad measurement CSV: {exc}")
 
 

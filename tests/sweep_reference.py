@@ -38,7 +38,6 @@ class MeasurementRecord:
 @dataclass(frozen=True)
 class Aggregate:
     mean_force_n: float
-    std_force_n: float
     n_trials: int
     n_distinct_trials: int
 
@@ -156,8 +155,6 @@ def aggregate_records(records):
     out = {}
     for key in sorted(groups):
         forces = sorted(r.force_n for r in groups[key])
-        n = len(forces)
-        mean = math.fsum(forces) / n
-        var = math.fsum((f - mean) ** 2 for f in forces) / (n - 1) if n > 1 else 0.0
-        out[key] = Aggregate(mean, math.sqrt(var), n, len({r.trial for r in groups[key]}))
+        out[key] = Aggregate(math.fsum(forces) / len(forces), len(forces),
+                             len({r.trial for r in groups[key]}))
     return out

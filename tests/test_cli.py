@@ -1,5 +1,7 @@
+import argparse
 import csv
 import io
+import math
 import os
 import re
 import resource
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 from shellact import configio
 from shellact.brace import default_layout, default_valgus_schedule
-from shellact.cli import main
+from shellact.cli import build_parser, main
 from shellact.geometry import equal_area_family
 from config_writer import cross_section_to_dict, dump_yaml, layout_to_dict, schedule_to_dict
 
@@ -263,6 +265,14 @@ class TestErrorContract:
         assert run(["generate", "--trials", "0", "--out", str(tmp_path)]) == 2
         assert "trials must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_noise_sigma_exits_2_naming_it(self, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        assert run(["generate", "--noise-sigma", value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: noise_sigma_n must be finite and >= 0, got {float(value)!r}\n"
+        assert not out.exists()
+
     def test_negative_pressure_exits_2(self, capsys):
         assert run(["predict", "--pressures=-5"]) == 2
         assert "pressure must be a finite non-negative kPa value" in capsys.readouterr().err
@@ -392,6 +402,91 @@ def mutate(data, text, column_values):
     return "\n".join(lines) + "\n"
 
 
+# text that is neither a number nor an option, so never an abbreviation of --help
+FREE_TEXT = st.text(max_size=6).filter(lambda t: not t.startswith("-"))
+# the options that size the work, bounded so an in-process run makes at most about
+# 10**5 rows: 48 sweep rows a trial; cycles * duration / dt steps of 6 trace rows
+SIZED = {
+    "trials": st.integers(1, 4) | st.integers(-2, 2_000),
+    "cycles": st.integers(-2, 3),
+    "dt": st.floats(1e-3, 2.0) | st.sampled_from([0.0, -0.01, math.nan, math.inf]),
+    "duration": st.floats(-1.0, 5.0) | st.sampled_from([math.nan, math.inf, -math.inf]),
+}
+
+
+def rarely(draw):
+    return draw(st.integers(0, 9)) == 0
+
+
+def option_values(action, files):
+    """Strategy for the argv values of one option: a list of ``action.nargs`` texts.
+
+    A path is mostly an input file of the right kind, so the subcommand gets past
+    reading it. Paths stay inside ``files``, and only ``files / "out"`` is written to.
+    Other values are plausible about half the time, rarely free text, and otherwise
+    anything of their type.
+    """
+    names = st.text(st.characters(blacklist_characters="/"), max_size=6).map(
+        lambda name: f"{files}/out/f{name}")
+    if action.dest == "out":
+        value = st.just(f"{files}/out") | names
+    elif action.type is None and not action.choices and action.dest != "pressures":
+        kind = "*.csv" if action.dest == "input" else "*.yaml"
+        inputs = st.sampled_from(sorted(map(str, (files / "in").glob(kind))))
+        value = st.integers(0, 3).flatmap(lambda k: inputs if k else names)
+    else:
+        if action.dest in SIZED:
+            value = SIZED[action.dest].map(str)
+        elif action.choices:
+            value = st.sampled_from(action.choices)
+        elif action.dest == "pressures":
+            value = st.lists(st.floats(0.0, 100.0) | st.floats(), max_size=4).map(
+                lambda xs: ",".join(map(str, xs)))
+        else:
+            value = (st.integers(0, 10) | st.integers() if action.type is int
+                     else st.floats(0.0, 100.0) | st.floats()).map(str)
+        value = st.integers(0, 9).flatmap(lambda k, typed=value: typed if k else FREE_TEXT)
+    n = action.nargs if isinstance(action.nargs, int) else 1
+    return st.lists(value, min_size=n, max_size=n)
+
+
+@st.composite
+def argvs(draw, files):
+    """argv for cli.main built from build_parser(): a subcommand, then options and values.
+
+    Required options are given, then up to four more. Rarely the subcommand is free
+    text, a required option is left out or an option comes from another subcommand.
+    """
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = {name: [a for a in parser._actions if a.option_strings and a.dest != "help"]
+               for name, parser in subparsers.choices.items()}
+    every = [a for actions in options.values() for a in actions]
+    command = draw(FREE_TEXT) if rarely(draw) else draw(st.sampled_from(sorted(options)))
+    own = options.get(command, every)
+    chosen = [a for a in own if a.required and not rarely(draw)]
+    for action in draw(st.lists(st.sampled_from(own), max_size=4)):
+        chosen.append(draw(st.sampled_from(every)) if rarely(draw) else action)
+    argv = [command]
+    for action in chosen:
+        argv += [draw(st.sampled_from(action.option_strings)), *draw(option_values(action, files))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    """Inputs for random argv under ``in``: sweeps of 1 and 3 trials and a config of each kind."""
+    files = tmp_path_factory.mktemp("argv")
+    for trials in (1, 3):
+        out = files / "in" / f"{trials}-trial"
+        assert main(["generate", "--trials", str(trials), "--out", str(out)]) == 0
+        (out / "measurements.csv").rename(files / "in" / f"{trials}-trial.csv")
+        out.rmdir()
+    for flag in ("--schedule", "--layout", "--spec", "--shapes"):
+        (files / "in" / f"{flag[2:]}.yaml").write_text(yaml.safe_dump(valid_config(flag)))
+    return files
+
+
 FUZZ = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
@@ -440,6 +535,22 @@ class TestFuzz:
         code = run(["generate", "--trials", str(trials), "--out", str(out / "gen")])
         assert code == (0 if trials >= 1 else 2)
 
+
+    @FUZZ
+    @given(data=st.data())
+    def test_random_argv(self, argv_dir, data):
+        assert main(data.draw(argvs(argv_dir))) in (0, 1, 2)
+
+    @settings(max_examples=4, deadline=None)
+    # 48 sweep rows a trial; 1.2 / dt steps a cycle, 6 trace rows a step
+    @given(argv=st.integers(10**7 // 48 + 1, 10**15).map(lambda n: ["generate", "--trials", str(n)])
+           | st.builds(lambda dt, n: ["simulate", "--dt", repr(dt), "--cycles", str(n)],
+                       st.floats(1e-300, 1e-7), st.integers(1, 10)))
+    def test_random_argv_above_the_row_cap(self, argv_dir, argv):
+        out = argv_dir / "above-cap"
+        code, err = run_limited([*argv, "--out", str(out)])
+        assert code in (1, 2) and err.endswith(" exceeds the cap of 10000000 rows\n")
+        assert not out.exists()
 
     @FUZZ
     @given(flag=CONFIG_FLAGS, data=st.binary(max_size=400))

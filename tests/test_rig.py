@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from shellact.geometry import equal_area_family
-from shellact.loss import balloon_spec, loss_fraction, predicted_force
+from shellact.loss import balloon_spec, engineered_spec, loss_fraction, predicted_force
 from shellact.rig import (
     RigConfig,
     default_noise_sigma_n,
@@ -73,6 +74,19 @@ class TestPreKneeRegime:
         cfg = make_cfg(pre_knee_start_loss=0.5)
         assert true_loss(cfg, GROUND_TRUTH["circle"], 5.0) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("spec", [GROUND_TRUTH["circle"], engineered_spec()],
+                             ids=["linear", "exponential"])
+    @pytest.mark.parametrize("knee", [30.0, 5.0, 2.0], ids=["knee-30", "knee-at-start", "knee-2"])
+    def test_array_equals_scalar(self, spec, knee):
+        cfg = make_cfg(pre_knee_kpa=knee)
+        # below, at and just around the knee, above it, and below the protocol start
+        pressures = [1.0, 5.0, 12.5, 29.999999, 30.0, 30.000001, 45.0, 60.0]
+        losses = [true_loss(cfg, spec, p) for p in pressures]
+        assert true_loss(cfg, spec, np.array(pressures)).tolist() == losses
+        assert all(type(loss) in (float, np.float64) for loss in losses)
+        if knee <= cfg.protocol.start_kpa:  # nothing to blend: the model's loss throughout
+            assert losses == [loss_fraction(p, spec.loss_model).fraction for p in pressures]
+
 
 class TestColumns:
     def test_row_order_and_values_match_per_record_generator(self):
@@ -84,7 +98,8 @@ class TestColumns:
 
     def test_vector_draw_equals_scalar_draws(self):
         a, b = np.random.default_rng(5), np.random.default_rng(5)
-        vector = a.normal(0.0, 0.7, 10_000).tolist()
+        # the rig draws a [shapes, pressures, trials] array; its C order is the scalar order
+        vector = a.normal(0.0, 0.7, (4, 25, 100)).ravel().tolist()
         assert vector == [b.normal(0.0, 0.7) for _ in range(10_000)]
 
 
@@ -141,6 +156,12 @@ class TestConfigValidation:
     def test_negative_sigma(self):
         with pytest.raises(ValueError):
             make_cfg(noise_sigma_n=-0.1)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_sigma_not_finite(self, sigma):
+        message = f"noise_sigma_n must be finite and >= 0, got {sigma!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_cfg(noise_sigma_n=sigma)
 
     def test_default_sigma_is_one_percent_of_midrange_ideal(self):
         sigma = default_noise_sigma_n(GROUND_TRUTH, SweepProtocol())

@@ -42,7 +42,7 @@ SHAPES = dict(zip(["circle", "triangle", "square", "rectangle"], equal_area_fami
 EXACT_POINTS = [(p, -0.005 * p + 0.522) for p in (30.0, 35.0, 40.0, 45.0, 50.0, 55.0, 60.0)]
 
 
-STEP_STATS = ("mean_force_n", "std_force_n", "n_trials", "n_distinct_trials")
+STEP_STATS = ("mean_force_n", "n_trials", "n_distinct_trials")
 
 
 def table_columns(table):
@@ -89,7 +89,6 @@ class TestAggregation:
         table = ds.aggregates()
         assert (table.shape_id, table.pressure_kpa.tolist()) == (("c",), [30.0])
         assert table.mean_force_n.tolist() == [pytest.approx(11.0)]
-        assert table.std_force_n.tolist() == [pytest.approx(1.0)]
         assert table.n_trials.tolist() == [3]
         assert table.n_distinct_trials.tolist() == [3]
 
@@ -432,13 +431,18 @@ class TestCsvRoundTrip:
             ("circle,30.0,1_0,2.0\n", "line 5: could not convert string to int64: '1_0'"),
             ("circle,30.0,1,\u0663\n", "line 5: could not convert string to float: '\u0663'"),
             ("circle,30.0,\u01fe,2.0\n", "line 5: could not convert string to int64: '\u01fe'"),
+            # an id past the csv module's default field limit, which loadtxt reads
+            pytest.param(f'"{"x" * 140_000}",30.0,1,2.0\ncircle,35.0,1,2.0\na,3,1\n',
+                         "line 7: expected 4 fields, got 3", id="long-id-then-short-row"),
         ],
     )
     def test_malformed_row_names_its_line(self, body, message):
         text = "# seed: 1\n\nshape_id,pressure_kpa,trial,force_n\ncircle,30.0,1,2.0\n" + body
+        limit = csv.field_size_limit()
         with pytest.raises(ValueError) as info:
             read_measurements_csv(text)
         assert str(info.value).startswith(f"measurement CSV {message}")
+        assert csv.field_size_limit() == limit
 
     def test_malformed_row_in_a_later_chunk(self):
         rows = [f"c,30.0,{t},2.0" for t in range(1, 10_001)]
