@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
+from typing import NamedTuple
 
 from ._lazy import np
 from .geometry import MAX_ROWS, reject
@@ -166,8 +167,7 @@ class GaitSchedule:
         return np.minimum(index, len(self.phases) - 1)
 
 
-@dataclass(frozen=True, eq=False)
-class SimulationTrace:
+class SimulationTrace(NamedTuple):
     """Row k of each array is step k; [n, 6] arrays have a column per ``actuator_ids``."""
 
     t_s: np.ndarray

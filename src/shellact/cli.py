@@ -10,20 +10,23 @@ Subcommands:
 Exit codes: 0 success, 1 usage error, 2 data/validation error. All CSV
 numbers are written with 4 decimal places so repeated runs are
 byte-comparable.
+
+A start loads only the modules its subcommand runs: the package's modules
+are lazy module objects here, loaded on first attribute access.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
-from . import brace, configio, rig, sweep
-from ._lazy import np
-from .geometry import CrossSection, area, equal_area_family, ideal_force
-from .loss import balloon_spec, loss_fraction, predicted_force
+from ._lazy import _lazy, np
 from .svgchart import csv_field, line_chart_svg
+
+brace, configio, geometry, loss, rig, sweep = (
+    _lazy(f"{__package__}.{name}") for name in "brace configio geometry loss rig sweep".split()
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,9 +48,9 @@ def _fmt(x: float) -> str:
     return f"{x:.4f}"
 
 
-def _shape_label(cs: CrossSection) -> str:
-    kind = next(name for name, cls in configio._CROSS_SECTIONS.items() if isinstance(cs, cls))
-    dims = ", ".join(f"{k}={v:.4f}" for k, v in dataclasses.asdict(cs).items())
+def _shape_label(cs: geometry.CrossSection) -> str:
+    kind = next(name for name, cls in geometry.CROSS_SECTIONS.items() if isinstance(cs, cls))
+    dims = ", ".join(f"{k}={v:.4f}" for k, v in vars(cs).items())  # the fields, in order
     return f"{kind}({dims})"
 
 
@@ -71,10 +74,10 @@ def cmd_geometry(args: argparse.Namespace) -> int:
     if args.radius <= 0.0:
         print(f"error: --radius must be > 0, got {args.radius}", file=sys.stderr)
         return EXIT_USAGE
-    family = equal_area_family(args.radius, args.aspect)
+    family = geometry.equal_area_family(args.radius, args.aspect)
     lines = ["shape,area_mm2"]
     for cs in family:
-        lines.append(f'"{_shape_label(cs)}",{_fmt(area(cs))}')
+        lines.append(f'"{_shape_label(cs)}",{_fmt(geometry.area(cs))}')
     table = "\n".join(lines) + "\n"
     print(table, end="")
     if args.out:
@@ -90,13 +93,13 @@ def _parse_pressures(text: str) -> list[float]:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    spec = configio.load_actuator_spec(args.spec) if args.spec else balloon_spec()
+    spec = configio.load_actuator_spec(args.spec) if args.spec else loss.balloon_spec()
     pressures = _parse_pressures(args.pressures)
     lines = ["pressure_kpa,ideal_force_n,predicted_force_n,loss_fraction,extrapolated"]
     for p in pressures:
-        ideal = ideal_force(p, spec.cross_section, safety_cap_kpa=spec.max_pressure_kpa)
-        lv = loss_fraction(p, spec.loss_model)
-        force = predicted_force(p, spec)
+        ideal = geometry.ideal_force(p, spec.cross_section, safety_cap_kpa=spec.max_pressure_kpa)
+        lv = loss.loss_fraction(p, spec.loss_model)
+        force = loss.predicted_force(p, spec)
         lines.append(f"{_fmt(p)},{_fmt(ideal)},{_fmt(force)},{_fmt(lv.fraction)},{int(lv.extrapolated)}")
     table = "\n".join(lines) + "\n"
     print(table, end="")
@@ -105,13 +108,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _balloon_family() -> dict[str, CrossSection]:
-    return dict(zip(["circle", "triangle", "square", "rectangle"], equal_area_family(25.0, 2.0)))
+def _balloon_family() -> dict[str, geometry.CrossSection]:
+    family = geometry.equal_area_family(25.0, 2.0)
+    return dict(zip(["circle", "triangle", "square", "rectangle"], family))
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     protocol = sweep.SweepProtocol(trials=args.trials)
-    ground_truth = {name: balloon_spec(cs) for name, cs in _balloon_family().items()}
+    ground_truth = {name: loss.balloon_spec(cs) for name, cs in _balloon_family().items()}
     sigma = (
         args.noise_sigma
         if args.noise_sigma is not None

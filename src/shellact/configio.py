@@ -33,40 +33,18 @@ from collections.abc import Callable
 from dataclasses import fields
 from typing import Any
 
-from ._lazy import yaml
-from .brace import (
-    ActuatorPlacement,
-    BraceLayout,
-    ForceDirection,
-    GaitPhase,
-    GaitSchedule,
-    Side,
-    Site,
-)
-from .geometry import (
-    Circle,
-    CrossSection,
-    EquilateralTriangle,
-    Rectangle,
-    RoundedRectangle,
-    Square,
-)
+from ._lazy import _lazy, yaml
+from .geometry import CROSS_SECTIONS, CrossSection
 from .loss import ActuatorSpec, ExponentialLoss, LinearLoss, LossModel
+
+brace = _lazy(f"{__package__}.brace")  # only layouts and schedules need it
 
 
 class ConfigError(ValueError):
     """Config file is malformed or names an unknown kind/form."""
 
 
-_CROSS_SECTIONS = {
-    "circle": Circle,
-    "equilateral_triangle": EquilateralTriangle,
-    "square": Square,
-    "rectangle": Rectangle,
-    "rounded_rectangle": RoundedRectangle,
-}
 _LOSS_MODELS = {"linear": LinearLoss, "exponential": ExponentialLoss}
-_DIRECTIONS = {d.name.lower(): d for d in ForceDirection}
 
 
 def _lookup(table: dict[str, Any], name: Any, what: str) -> Any:
@@ -94,7 +72,7 @@ def _number(value: Any, what: str) -> float:
 def cross_section_from_dict(d: dict[str, Any]) -> CrossSection:
     _expect(d, dict, "cross-section")
     try:
-        cls = _lookup(_CROSS_SECTIONS, d["kind"], "cross-section kind")
+        cls = _lookup(CROSS_SECTIONS, d["kind"], "cross-section kind")
         return cls(*(_number(d[f.name], f.name) for f in fields(cls)))
     except KeyError as exc:
         raise ConfigError(f"cross-section config missing key {exc}") from exc
@@ -132,16 +110,16 @@ def shapes_from_dict(d: dict[str, Any]) -> dict[str, CrossSection]:
     return {str(sid): cross_section_from_dict(cs) for sid, cs in shapes.items()}
 
 
-def layout_from_dict(d: dict[str, Any]) -> BraceLayout:
+def layout_from_dict(d: dict[str, Any]) -> brace.BraceLayout:
     placements = []
     for entry in _expect(d.get("actuators"), list, "'actuators'"):
         _expect(entry, dict, "actuator entry")
         try:
             placements.append(
-                ActuatorPlacement(
+                brace.ActuatorPlacement(
                     actuator_id=str(entry["id"]),
-                    site=Site(entry["site"]),
-                    side=Side(entry["side"]),
+                    site=brace.Site(entry["site"]),
+                    side=brace.Side(entry["side"]),
                     spec=actuator_spec_from_dict(entry["spec"]),
                     lever_arm_m=_number(entry["lever_arm_m"], "lever_arm_m"),
                     direction=_direction(entry["direction"]),
@@ -149,14 +127,14 @@ def layout_from_dict(d: dict[str, Any]) -> BraceLayout:
             )
         except KeyError as exc:
             raise ConfigError(f"actuator entry missing key {exc}") from exc
-    return BraceLayout(tuple(placements))
+    return brace.BraceLayout(tuple(placements))
 
 
-def _direction(name: str) -> ForceDirection:
-    return _lookup(_DIRECTIONS, name, "force direction")
+def _direction(name: str) -> brace.ForceDirection:
+    return _lookup({d.name.lower(): d for d in brace.ForceDirection}, name, "force direction")
 
 
-def schedule_from_dict(d: dict[str, Any]) -> GaitSchedule:
+def schedule_from_dict(d: dict[str, Any]) -> brace.GaitSchedule:
     phases = []
     for entry in _expect(d.get("phases"), list, "'phases'"):
         _expect(entry, dict, "phase entry")
@@ -164,10 +142,10 @@ def schedule_from_dict(d: dict[str, Any]) -> GaitSchedule:
             pressures = _expect(entry.get("pressures") or {}, dict, "phase pressures")
             kpa = {str(k): _number(v, f"pressure of {k!r}") for k, v in pressures.items()}
             fraction = _number(entry["fraction"], "fraction")
-            phases.append(GaitPhase(str(entry["name"]), fraction, kpa))
+            phases.append(brace.GaitPhase(str(entry["name"]), fraction, kpa))
         except KeyError as exc:
             raise ConfigError(f"phase entry missing key {exc}") from exc
-    return GaitSchedule(tuple(phases))
+    return brace.GaitSchedule(tuple(phases))
 
 
 def load_yaml(path: str) -> dict[str, Any]:
@@ -198,9 +176,9 @@ def load_shapes(path: str) -> dict[str, CrossSection]:
     return _load(path, shapes_from_dict)
 
 
-def load_layout(path: str) -> BraceLayout:
+def load_layout(path: str) -> brace.BraceLayout:
     return _load(path, layout_from_dict)
 
 
-def load_schedule(path: str) -> GaitSchedule:
+def load_schedule(path: str) -> brace.GaitSchedule:
     return _load(path, schedule_from_dict)

@@ -111,6 +111,15 @@ class RoundedRectangle:
 
 CrossSection = Circle | EquilateralTriangle | Square | Rectangle | RoundedRectangle
 
+#: Each cross-section class by the kind name that configs and the CLI use.
+CROSS_SECTIONS = {
+    "circle": Circle,
+    "equilateral_triangle": EquilateralTriangle,
+    "square": Square,
+    "rectangle": Rectangle,
+    "rounded_rectangle": RoundedRectangle,
+}
+
 
 _AREA = {
     Circle: lambda c: math.pi * c.radius_mm**2,
@@ -142,14 +151,20 @@ def equal_area_family(
     _require_positive("reference_radius_mm", reference_radius_mm)
     if not (math.isfinite(rectangle_aspect) and rectangle_aspect >= 1.0):
         raise ValueError(f"rectangle_aspect must be >= 1, got {rectangle_aspect!r}")
-    target = math.pi * reference_radius_mm**2
-    height = math.sqrt(target / rectangle_aspect)
-    return [
-        Circle(reference_radius_mm),
-        EquilateralTriangle(math.sqrt(4.0 * target / math.sqrt(3.0))),
-        Square(math.sqrt(target)),
-        Rectangle(rectangle_aspect * height, height),
-    ]
+    try:
+        target = math.pi * reference_radius_mm**2
+        height = math.sqrt(target / rectangle_aspect)
+        return [
+            Circle(reference_radius_mm),
+            EquilateralTriangle(math.sqrt(4.0 * target / math.sqrt(3.0))),
+            Square(math.sqrt(target)),
+            Rectangle(rectangle_aspect * height, height),
+        ]
+    except (OverflowError, DimensionError):  # r**2 overflows, or a side is inf or 0.0
+        raise DimensionError(
+            f"reference_radius_mm {reference_radius_mm!r} (rectangle_aspect {rectangle_aspect!r}) "
+            "gives sides that a float cannot hold"
+        ) from None
 
 
 def ideal_force(pressure_kpa, cs: CrossSection, safety_cap_kpa: float = DEFAULT_SAFETY_CAP_KPA):

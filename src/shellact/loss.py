@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ._lazy import np
 from .geometry import CrossSection, ideal_force, reject
@@ -85,8 +86,7 @@ BALLOON_LOSS = LinearLoss(slope_per_kpa=-0.005, intercept=0.522)
 ENGINEERED_LOSS = ExponentialLoss(amplitude=0.9930, decay_per_kpa=0.0700)
 
 
-@dataclass(frozen=True)
-class LossValue:
+class LossValue(NamedTuple):
     """Loss fraction plus out-of-validity-range flag, as floats or as arrays."""
 
     fraction: float

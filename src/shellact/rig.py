@@ -16,8 +16,6 @@ bytes. The dataset is built as columns (see :class:`~shellact.sweep.SweepDataset
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -44,6 +42,8 @@ class RigConfig:
             raise ValueError(f"noise_sigma_n must be finite and >= 0, got {self.noise_sigma_n!r}")
         if not 0.0 <= self.pre_knee_start_loss <= 1.0:
             raise ValueError("pre_knee_start_loss must be in [0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.conditioning_cycles < 0:
             raise ValueError("conditioning_cycles must be >= 0")
         for shape_id, spec in self.ground_truth.items():
@@ -65,6 +65,9 @@ def default_noise_sigma_n(cfg_ground_truth: dict[str, ActuatorSpec], protocol: S
 
 
 def _config_digest(cfg: RigConfig) -> str:
+    import hashlib  # with json, only generate needs them
+    import json
+
     payload = {
         "shapes": {sid: repr(spec) for sid, spec in sorted(cfg.ground_truth.items())},
         "protocol": repr(cfg.protocol),
@@ -103,6 +106,8 @@ def generate_sweep(cfg: RigConfig) -> SweepDataset:
     # sigma 0 draws zeros: the noise is 0.0 + 0.0 * z
     force = rng.normal(0.0, cfg.noise_sigma_n, (len(names), len(pressures), trials))
     force += clean[:, :, None]
+    if not np.isfinite(force).all():  # sigma * z overflows to inf
+        raise ValueError(f"noise_sigma_n {cfg.noise_sigma_n!r} draws forces beyond the float range")
     force[force <= 0.0] = 0.0  # not np.maximum, so -0.0 is written as 0.0000
     provenance = [
         f"seed: {cfg.seed}",

@@ -17,6 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from ._lazy import np
 from .geometry import DEFAULT_SAFETY_CAP_KPA, CrossSection, ideal_force, reject
@@ -65,8 +66,7 @@ class SweepProtocol:
         return [self.start_kpa + i * self.step_kpa for i in range(n + 1)]
 
 
-@dataclass(frozen=True, eq=False)
-class StepTable:
+class StepTable(NamedTuple):
     """Per (shape_id, pressure) step statistics as columns, one entry per step.
 
     Steps are in (shape_id, pressure) order: entry i holds the mean trial
@@ -137,8 +137,7 @@ class SweepDataset:
 # --- protocol validation -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One way a sweep breaks its protocol: a kind such as "missing step", and the detail."""
 
     kind: str
@@ -216,8 +215,7 @@ def compute_loss_series(
     return series
 
 
-@dataclass(frozen=True)
-class FitReport:
+class FitReport(NamedTuple):
     window_kpa: tuple[float, float]
     slope_per_kpa: float
     intercept: float

@@ -9,7 +9,8 @@ from dataclasses import asdict
 
 import yaml
 
-from shellact.configio import _CROSS_SECTIONS, _LOSS_MODELS
+from shellact.configio import _LOSS_MODELS
+from shellact.geometry import CROSS_SECTIONS
 
 
 def _name_of(table, obj):
@@ -17,7 +18,7 @@ def _name_of(table, obj):
 
 
 def cross_section_to_dict(cs):
-    return {"kind": _name_of(_CROSS_SECTIONS, cs), **asdict(cs)}
+    return {"kind": _name_of(CROSS_SECTIONS, cs), **asdict(cs)}
 
 
 def loss_model_to_dict(m):

@@ -273,6 +273,25 @@ class TestErrorContract:
         assert err == f"error: noise_sigma_n must be finite and >= 0, got {float(value)!r}\n"
         assert not out.exists()
 
+    def test_overflowing_noise_sigma_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["generate", "--noise-sigma", "1e308", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: noise_sigma_n 1e+308 draws forces beyond the float range\n"
+        assert not out.exists()
+
+    def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["generate", "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("radius", ["1e200", "1e-200"])
+    def test_radius_beyond_float_range_exits_2_naming_it(self, capsys, radius):
+        assert run(["geometry", "--radius", radius]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: reference_radius_mm {float(radius)!r} ")
+
     def test_negative_pressure_exits_2(self, capsys):
         assert run(["predict", "--pressures=-5"]) == 2
         assert "pressure must be a finite non-negative kPa value" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,12 @@ class TestEqualAreaFamily:
     def test_bad_aspect_rejected(self):
         with pytest.raises(ValueError):
             equal_area_family(25.0, 0.5)
+
+    # 1e200**2 raises OverflowError; 1e-200**2 underflows to a zero side
+    @pytest.mark.parametrize("radius", [1e200, 1e-200])
+    def test_radius_beyond_float_range_names_it(self, radius):
+        with pytest.raises(DimensionError, match=f"^reference_radius_mm {re.escape(repr(radius))} "):
+            equal_area_family(radius)
 
 
 class TestIdealForce:

@@ -140,6 +140,10 @@ class TestProvenance:
         with pytest.raises(ValueError, match="conditioning_cycles must be >= 0"):
             make_cfg(conditioning_cycles=-1)
 
+    def test_negative_seed_rejected_naming_it(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            make_cfg(seed=-1)
+
     def test_csv_carries_comment_header(self):
         text = generate_sweep_csv(make_cfg(seed=5))
         lines = text.splitlines()
@@ -162,6 +166,12 @@ class TestConfigValidation:
         message = f"noise_sigma_n must be finite and >= 0, got {sigma!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make_cfg(noise_sigma_n=sigma)
+
+    def test_sigma_whose_draws_overflow_names_it(self):
+        # finite sigma, but sigma * z is inf once |z| > 1.8
+        message = "noise_sigma_n 1e+308 draws forces beyond the float range"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate_sweep(make_cfg(noise_sigma_n=1e308))
 
     def test_default_sigma_is_one_percent_of_midrange_ideal(self):
         sigma = default_noise_sigma_n(GROUND_TRUTH, SweepProtocol())

@@ -1,11 +1,13 @@
 """What a CLI start imports.
 
 numpy and yaml load on first use, so ``geometry`` and ``predict`` run
-without numpy and runs without YAML input run without yaml. This test
-process has numpy imported already, so each check starts a fresh
-interpreter.
+without numpy and runs without YAML input run without yaml. The package's
+own modules load on first use too, so a start executes only the modules
+its subcommand runs. This test process has numpy imported already, so each
+check starts a fresh interpreter.
 """
 
+import importlib
 import os
 import subprocess
 import sys
@@ -18,6 +20,8 @@ import yaml
 import shellact
 import shellact.cli
 from shellact.cli import main
+from shellact.geometry import equal_area_family
+from config_writer import cross_section_to_dict, dump_yaml
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 LAYERS = ("cli", "brace", "configio", "loss", "rig", "sweep")
@@ -32,13 +36,23 @@ SPEC = {
 }
 
 
-def fresh_run(*argv, code="print(main(sys.argv[1:]))"):
-    """Last output line and loaded module names of a new interpreter.
+# A module registered through ``_lazy`` and never read is a LazyLoader
+# subclass of ModuleType; it counts as executed only once it has loaded.
+PRINT_EXECUTED = (
+    "import types\n"
+    "print(*sorted(m for m, v in sys.modules.items() if type(v) is types.ModuleType))"
+)
+#: What every CLI start executes of the package.
+START = {"shellact", "shellact._lazy", "shellact.cli", "shellact.svgchart"}
 
-    It imports ``shellact.cli.main``, then runs ``code``, by default
-    ``shellact argv`` printing its exit code.
+
+def fresh_run(*argv, code="print(main(sys.argv[1:]))", head="from shellact.cli import main"):
+    """Last output line and ``sys.modules`` names of a new interpreter.
+
+    It runs ``head``, by default importing ``shellact.cli.main``, then
+    ``code``, by default ``shellact argv`` printing its exit code.
     """
-    probe = f"import sys\nfrom shellact.cli import main\n{code}\nprint(*sorted(sys.modules))\n"
+    probe = f"import sys\n{head}\n{code}\nprint(*sorted(sys.modules))\n"
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", probe, *map(str, argv)],
@@ -49,6 +63,12 @@ def fresh_run(*argv, code="print(main(sys.argv[1:]))"):
     )
     *_, last, modules = proc.stdout.splitlines()
     return last, set(modules.split())
+
+
+def executed(*argv):
+    """The package modules that ``shellact argv`` executes in a new interpreter, and ``sys.modules``."""
+    last, modules = fresh_run(*argv, code=f"assert main(sys.argv[1:]) == 0\n{PRINT_EXECUTED}")
+    return {m for m in last.split() if m.startswith("shellact")}, modules
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +127,13 @@ def test_reexports_resolve():
     for name in public:
         assert getattr(shellact, name) is not None
     assert shellact.SweepDataset is sys.modules["shellact.sweep"].SweepDataset
+    for name, module in shellact._EXPORTS.items():
+        assert getattr(shellact, name) is getattr(importlib.import_module(f"shellact.{module}"), name)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        shellact.no_such_name
+    star = {}
+    exec("from shellact import *", star)
+    assert all(star[name] is getattr(shellact, name) for name in shellact._EXPORTS)
 
 
 def test_lazy_names_are_the_real_modules():
@@ -114,3 +141,42 @@ def test_lazy_names_are_the_real_modules():
 
     assert _lazy.np.ndarray is np.ndarray
     assert _lazy.yaml.YAMLError is yaml.YAMLError
+
+
+def test_import_shellact_executes_no_submodule():
+    last, _ = fresh_run(code=PRINT_EXECUTED, head="import shellact")
+    assert {m for m in last.split() if m.startswith("shellact")} == {"shellact"}
+
+
+def test_geometry_executes_only_geometry():
+    own, _ = executed("geometry", "--radius", "25")
+    assert own == START | {"shellact.geometry"}
+
+
+@pytest.fixture(scope="module")
+def fit_inputs(tmp_path_factory):
+    """A generated sweep CSV and a shapes YAML for its four shapes."""
+    out = tmp_path_factory.mktemp("fit")
+    assert main(["generate", "--out", str(out)]) == 0
+    family = zip(["circle", "triangle", "square", "rectangle"], equal_area_family(25.0, 2.0))
+    shapes = out / "shapes.yaml"
+    dump_yaml({"shapes": {sid: cross_section_to_dict(cs) for sid, cs in family}}, shapes)
+    return {"CSV": out / "measurements.csv", "SHAPES": shapes}
+
+
+@pytest.mark.parametrize(
+    "argv, skipped, unimported",
+    [
+        (["simulate", "--out", "OUT"], {"sweep", "rig"}, {"hashlib"}),
+        (["fit", "--input", "CSV", "--shapes", "SHAPES", "--out", "OUT"], {"brace", "rig"}, set()),
+        (["generate", "--out", "OUT"], {"brace", "configio"}, set()),
+    ],
+    ids=["simulate", "fit", "generate"],
+)
+def test_subcommand_skips_the_modules_it_does_not_run(argv, skipped, unimported, fit_inputs, tmp_path):
+    files = {**fit_inputs, "OUT": tmp_path}
+    own, modules = executed(*[files.get(a, a) for a in argv])
+    skipped = {f"shellact.{name}" for name in skipped}
+    assert not own & skipped
+    assert skipped <= modules  # still registered, so the bench finds them
+    assert not unimported & modules
