@@ -14,10 +14,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "geometry": "DEFAULT_SAFETY_CAP_KPA Circle CrossSection DimensionError EquilateralTriangle"
-        " Rectangle RoundedRectangle SafetyCapError Square area equal_area_family ideal_force",
+        "geometry": "DEFAULT_SAFETY_CAP_KPA Circle CrossSection EquilateralTriangle Rectangle"
+        " RoundedRectangle Square area equal_area_family ideal_force",
         "loss": "BALLOON_LOSS ENGINEERED_LOSS ActuatorSpec ExponentialLoss LinearLoss LossModel"
-        " LossValue OverPressureError ZeroPressureError balloon_spec efficiency engineered_spec"
+        " LossValue balloon_spec efficiency engineered_spec"
         " loss_fraction loss_from_measurement predicted_force",
         "sweep": "FitReport SweepDataset SweepProtocol compute_loss_series comparison_report"
         " fit_linear_loss validate_sweep",

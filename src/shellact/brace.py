@@ -52,14 +52,6 @@ class ForceDirection(Enum):
     LATERAL_TO_MEDIAL = -1
 
 
-class LayoutError(ValueError):
-    """Brace layout violates the one-actuator-per-(site, side) rule."""
-
-
-class ScheduleError(ValueError):
-    """Gait schedule is inconsistent with the layout or actuator limits."""
-
-
 @dataclass(frozen=True)
 class ActuatorPlacement:
     actuator_id: str
@@ -76,13 +68,13 @@ class BraceLayout:
 
     def __post_init__(self) -> None:
         if len(self.actuators) != 6:
-            raise LayoutError(f"a brace has exactly 6 actuators, got {len(self.actuators)}")
+            raise ValueError(f"a brace has exactly 6 actuators, got {len(self.actuators)}")
         slots = {(a.site, a.side) for a in self.actuators}
         if len(slots) != 6:
-            raise LayoutError("each (site, side) slot must hold exactly one actuator")
+            raise ValueError("each (site, side) slot must hold exactly one actuator")
         ids = {a.actuator_id for a in self.actuators}
         if len(ids) != 6:
-            raise LayoutError("actuator ids must be unique")
+            raise ValueError("actuator ids must be unique")
 
     def by_id(self) -> dict[str, ActuatorPlacement]:
         return {a.actuator_id: a for a in self.actuators}
@@ -97,13 +89,13 @@ def corrective_moment(layout: BraceLayout, forces_n: dict) -> tuple:
     """
     missing = set(layout.by_id()) - set(forces_n)
     if missing:
-        raise ScheduleError(f"forces missing for actuators: {sorted(missing)}")
+        raise ValueError(f"forces missing for actuators: {sorted(missing)}")
     net = 0.0
     moment = 0.0
     for placement in layout.actuators:
         aid = placement.actuator_id
         f = forces_n[aid]
-        reject(f, f < 0.0, ValueError, "force magnitudes must be >= 0, got {} for {!r}", aid)
+        reject(f, f < 0.0, "force magnitudes must be >= 0, got {} for {!r}", aid)
         signed = placement.direction.value * f
         net += signed
         segment = -1.0 if placement.site is Site.SHANK else 1.0
@@ -133,26 +125,26 @@ class GaitSchedule:
 
     def __post_init__(self) -> None:
         if not self.phases:
-            raise ScheduleError("schedule needs at least one phase")
+            raise ValueError("schedule needs at least one phase")
         # written so that NaN fails each check
         for ph in self.phases:
             if not ph.fraction > 0.0:
-                raise ScheduleError(f"phase {ph.name!r} has fraction {ph.fraction}, not > 0")
+                raise ValueError(f"phase {ph.name!r} has fraction {ph.fraction}, not > 0")
         total = math.fsum(ph.fraction for ph in self.phases)
         if not abs(total - 1.0) <= 1e-9:
-            raise ScheduleError(f"phase fractions must sum to 1, got {total}")
+            raise ValueError(f"phase fractions must sum to 1, got {total}")
 
     def validate_against(self, layout: BraceLayout) -> None:
         placements = layout.by_id()
         for ph in self.phases:
             for actuator_id, p in ph.pressures_kpa.items():
                 if actuator_id not in placements:
-                    raise ScheduleError(
+                    raise ValueError(
                         f"phase {ph.name!r} commands unknown actuator {actuator_id!r}"
                     )
                 cap = placements[actuator_id].spec.max_pressure_kpa
                 if not 0.0 <= p <= cap:  # NaN fails it too
-                    raise ScheduleError(
+                    raise ValueError(
                         f"phase {ph.name!r} commands {p} kPa on {actuator_id!r}, "
                         f"outside [0, {cap}]"
                     )
@@ -199,7 +191,7 @@ def run_gait_cycle(
         raise ValueError(f"n_cycles must be between 0 and {MAX_ROWS}, got {n_cycles}")
     shortest = min(ph.fraction for ph in schedule.phases) * cycle_duration_s
     if dt_s >= shortest:
-        raise ScheduleError(
+        raise ValueError(
             f"dt {dt_s} s must be shorter than the shortest phase ({shortest:g} s)"
         )
     schedule.validate_against(layout)
@@ -208,7 +200,7 @@ def run_gait_cycle(
     ids = tuple(sorted(placements))
     n_steps = round(n_cycles * cycle_duration_s / dt_s, 0)  # a float, inf for a subnormal dt_s
     rows = n_steps * len(ids)
-    reject(rows, rows > MAX_ROWS, ValueError,
+    reject(rows, rows > MAX_ROWS,
            "a trace of {:.0f} rows exceeds the cap of {} rows", MAX_ROWS)
     k = np.arange(int(n_steps), dtype=float)
     # phase is held over the step interval [t - dt, t)

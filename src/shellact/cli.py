@@ -7,7 +7,10 @@ Subcommands:
   fit        validate a sweep CSV, fit the linear loss model, emit reports
   simulate   run the six-actuator brace over gait cycles
 
-Exit codes: 0 success, 1 usage error, 2 data/validation error. All CSV
+Exit codes: 0 success; 1 when argv does not parse (an unknown or missing
+flag, or a value not of the flag's type); 2 when the program
+refuses a value, a file or a dataset. Only :func:`main` picks the code: the
+library raises ValueError naming the refused field and value. All CSV
 numbers are written with 4 decimal places so repeated runs are
 byte-comparable.
 
@@ -68,12 +71,6 @@ def _out_path(out_dir: str, name: str) -> str:
 
 
 def cmd_geometry(args: argparse.Namespace) -> int:
-    if args.aspect < 1.0:
-        print(f"error: --aspect must be >= 1, got {args.aspect}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.radius <= 0.0:
-        print(f"error: --radius must be > 0, got {args.radius}", file=sys.stderr)
-        return EXIT_USAGE
     family = geometry.equal_area_family(args.radius, args.aspect)
     lines = ["shape,area_mm2"]
     for cs in family:
@@ -178,15 +175,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     try:
         schedule.validate_against(layout)
-    except brace.ScheduleError as exc:
-        raise configio.ConfigError(f"{args.schedule or args.layout}: {exc}") from None
-    try:
-        trace = brace.run_gait_cycle(
-            layout, schedule, args.duration, args.dt, tau_s=args.tau, n_cycles=args.cycles
-        )
-    except (brace.ScheduleError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except ValueError as exc:
+        raise ValueError(f"{args.schedule or args.layout}: {exc}") from None
+    trace = brace.run_gait_cycle(
+        layout, schedule, args.duration, args.dt, tau_s=args.tau, n_cycles=args.cycles
+    )
     if args.format in ("csv", "both"):
         _write(_out_path(args.out, "trace.csv"), brace.write_trace_csv(trace))
     if args.format in ("svg", "both"):

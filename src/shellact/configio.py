@@ -40,17 +40,13 @@ from .loss import ActuatorSpec, ExponentialLoss, LinearLoss, LossModel
 brace = _lazy(f"{__package__}.brace")  # only layouts and schedules need it
 
 
-class ConfigError(ValueError):
-    """Config file is malformed or names an unknown kind/form."""
-
-
 _LOSS_MODELS = {"linear": LinearLoss, "exponential": ExponentialLoss}
 
 
 def _lookup(table: dict[str, Any], name: Any, what: str) -> Any:
     found = next((value for key, value in table.items() if key == name), None)
     if found is None:
-        raise ConfigError(f"unknown {what} {name!r}")
+        raise ValueError(f"unknown {what} {name!r}")
     return found
 
 
@@ -58,7 +54,7 @@ def _expect(value: Any, kind: type, what: str) -> Any:
     """``value`` if it is a ``kind`` (dict or list) as YAML loads it."""
     if not isinstance(value, kind):
         noun = "mapping" if kind is dict else "list"
-        raise ConfigError(f"{what} must be a {noun}, got {value!r}")
+        raise ValueError(f"{what} must be a {noun}, got {value!r}")
     return value
 
 
@@ -66,7 +62,7 @@ def _number(value: Any, what: str) -> float:
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float range
-        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
 
 
 def cross_section_from_dict(d: dict[str, Any]) -> CrossSection:
@@ -75,7 +71,7 @@ def cross_section_from_dict(d: dict[str, Any]) -> CrossSection:
         cls = _lookup(CROSS_SECTIONS, d["kind"], "cross-section kind")
         return cls(*(_number(d[f.name], f.name) for f in fields(cls)))
     except KeyError as exc:
-        raise ConfigError(f"cross-section config missing key {exc}") from exc
+        raise ValueError(f"cross-section config missing key {exc}") from exc
 
 
 def loss_model_from_dict(d: dict[str, Any]) -> LossModel:
@@ -86,7 +82,7 @@ def loss_model_from_dict(d: dict[str, Any]) -> LossModel:
         rng = tuple(_number(x, "valid_range_kpa") for x in bounds)
         return cls(*(_number(d[f.name], f.name) for f in fields(cls)[:-1]), rng)
     except KeyError as exc:
-        raise ConfigError(f"loss model config missing key {exc}") from exc
+        raise ValueError(f"loss model config missing key {exc}") from exc
 
 
 def actuator_spec_from_dict(d: dict[str, Any]) -> ActuatorSpec:
@@ -100,13 +96,13 @@ def actuator_spec_from_dict(d: dict[str, Any]) -> ActuatorSpec:
             allow_extrapolation=bool(d.get("allow_extrapolation", False)),
         )
     except KeyError as exc:
-        raise ConfigError(f"actuator spec config missing key {exc}") from exc
+        raise ValueError(f"actuator spec config missing key {exc}") from exc
 
 
 def shapes_from_dict(d: dict[str, Any]) -> dict[str, CrossSection]:
     shapes = d.get("shapes")
     if not isinstance(shapes, dict) or not shapes:
-        raise ConfigError("expected a non-empty 'shapes' mapping")
+        raise ValueError("expected a non-empty 'shapes' mapping")
     return {str(sid): cross_section_from_dict(cs) for sid, cs in shapes.items()}
 
 
@@ -126,7 +122,7 @@ def layout_from_dict(d: dict[str, Any]) -> brace.BraceLayout:
                 )
             )
         except KeyError as exc:
-            raise ConfigError(f"actuator entry missing key {exc}") from exc
+            raise ValueError(f"actuator entry missing key {exc}") from exc
     return brace.BraceLayout(tuple(placements))
 
 
@@ -144,28 +140,20 @@ def schedule_from_dict(d: dict[str, Any]) -> brace.GaitSchedule:
             fraction = _number(entry["fraction"], "fraction")
             phases.append(brace.GaitPhase(str(entry["name"]), fraction, kpa))
         except KeyError as exc:
-            raise ConfigError(f"phase entry missing key {exc}") from exc
+            raise ValueError(f"phase entry missing key {exc}") from exc
     return brace.GaitSchedule(tuple(phases))
-
-
-def load_yaml(path: str) -> dict[str, Any]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
-    except (yaml.YAMLError, ValueError) as exc:  # ValueError: bad UTF-8 or a bad date
-        raise ConfigError(f"{path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
-    return data
 
 
 def _load(path: str, from_dict: Callable[[dict[str, Any]], Any]) -> Any:
     """``from_dict`` of a YAML file's top-level mapping; a ValueError names the file."""
-    data = load_yaml(path)
     try:
+        with open(path, encoding="utf-8") as fh:
+            data = yaml.safe_load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("top level must be a mapping")
         return from_dict(data)
-    except ValueError as exc:  # ConfigError and the checks of the built dataclasses
-        raise ConfigError(f"{path}: {exc}") from exc
+    except (yaml.YAMLError, ValueError) as exc:  # also bad UTF-8, a bad date or a bad entry
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def load_actuator_spec(path: str) -> ActuatorSpec:

@@ -28,40 +28,32 @@ MAX_ROWS = 10_000_000
 _KPA_MM2_TO_N = 1e-3
 
 
-class DimensionError(ValueError):
-    """A cross-section dimension is non-positive or geometrically invalid."""
-
-
-class SafetyCapError(ValueError):
-    """A pressure exceeds the configured safety cap."""
-
-
-def reject(values, bad, error: type[Exception], message: str, *args) -> None:
-    """Raise ``error(message.format(v, *args))`` for the first value v flagged ``bad``.
+def reject(values, bad, message: str, *args) -> None:
+    """Raise ``ValueError(message.format(v, *args))`` for the first value v flagged ``bad``.
 
     ``values`` is a float with a bool flag or an array with a bool mask of
     its shape, so one check serves scalar and array callers.
     """
     if getattr(bad, "ndim", 0):
         if bad.any():
-            raise error(message.format(values[bad][0].item(), *args))
+            raise ValueError(message.format(values[bad][0].item(), *args))
     elif bad:
-        raise error(message.format(values, *args))
+        raise ValueError(message.format(values, *args))
 
 
 def check_pressure(pressure_kpa, cap_kpa: float = DEFAULT_SAFETY_CAP_KPA):
     """Validate supply pressures (a float or an array): finite, non-negative, within the cap."""
     p = pressure_kpa
     # negative, NaN (p != p) or infinite; plain comparisons keep floats off numpy
-    reject(p, (p < 0.0) | (p != p) | (p == math.inf), ValueError,
+    reject(p, (p < 0.0) | (p != p) | (p == math.inf),
            "pressure must be a finite non-negative kPa value, got {!r}")
-    reject(p, p > cap_kpa, SafetyCapError, "pressure {} kPa exceeds safety cap {} kPa", cap_kpa)
+    reject(p, p > cap_kpa, "pressure {} kPa exceeds safety cap {} kPa", cap_kpa)
     return p
 
 
 def _require_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0.0):
-        raise DimensionError(f"{name} must be positive and finite, got {value!r}")
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 class _PositiveDimensions:
@@ -101,9 +93,9 @@ class RoundedRectangle:
         _require_positive("width_mm", self.width_mm)
         _require_positive("height_mm", self.height_mm)
         if not (math.isfinite(self.corner_radius_mm) and self.corner_radius_mm >= 0.0):
-            raise DimensionError(f"corner_radius_mm must be >= 0, got {self.corner_radius_mm!r}")
+            raise ValueError(f"corner_radius_mm must be >= 0, got {self.corner_radius_mm!r}")
         if self.corner_radius_mm > min(self.width_mm, self.height_mm) / 2.0:
-            raise DimensionError(
+            raise ValueError(
                 "corner_radius_mm must not exceed half the shorter side: "
                 f"r={self.corner_radius_mm}, w={self.width_mm}, h={self.height_mm}"
             )
@@ -160,8 +152,8 @@ def equal_area_family(
             Square(math.sqrt(target)),
             Rectangle(rectangle_aspect * height, height),
         ]
-    except (OverflowError, DimensionError):  # r**2 overflows, or a side is inf or 0.0
-        raise DimensionError(
+    except (OverflowError, ValueError):  # r**2 overflows, or a side is inf or 0.0
+        raise ValueError(
             f"reference_radius_mm {reference_radius_mm!r} (rectangle_aspect {rectangle_aspect!r}) "
             "gives sides that a float cannot hold"
         ) from None

@@ -18,14 +18,6 @@ from ._lazy import np
 from .geometry import CrossSection, ideal_force, reject
 
 
-class OverPressureError(ValueError):
-    """Commanded pressure exceeds the actuator's maximum pressure."""
-
-
-class ZeroPressureError(ValueError):
-    """Loss back-calculation requires a strictly positive pressure."""
-
-
 def _exp(x):
     """math.exp of a float or of each array element (np.exp can differ in the last bit)."""
     if getattr(x, "ndim", 0):
@@ -40,10 +32,10 @@ def _clamped_loss(pressure_kpa, model: LossModel):
     return min(1.0, max(0.0, raw))
 
 
-def _check_valid_range(valid_range_kpa: tuple[float, float]) -> None:
-    lo, hi = valid_range_kpa
+def _check_valid_range(range_kpa: tuple[float, float], name: str = "valid_range_kpa") -> None:
+    lo, hi = range_kpa
     if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo < hi):
-        raise ValueError(f"valid_range_kpa must satisfy 0 <= lo < hi, got {valid_range_kpa!r}")
+        raise ValueError(f"{name} must be finite with 0 <= lo < hi, got {range_kpa!r}")
 
 
 @dataclass(frozen=True)
@@ -160,7 +152,7 @@ def engineered_spec() -> ActuatorSpec:
 def predicted_force(pressure_kpa, spec: ActuatorSpec):
     """Model force in newtons: ideal_force * (1 - loss), for a float or an array."""
     cap = spec.max_pressure_kpa
-    reject(pressure_kpa, pressure_kpa > cap, OverPressureError,
+    reject(pressure_kpa, pressure_kpa > cap,
            "pressure {} kPa exceeds actuator max {} kPa", cap)
     ideal = ideal_force(pressure_kpa, spec.cross_section, safety_cap_kpa=cap)
     return ideal * (1.0 - _clamped_loss(pressure_kpa, spec.loss_model))
@@ -175,7 +167,7 @@ def loss_from_measurement(
     force yields a negative loss, which flags bad data instead of hiding it.
     """
     if pressure_kpa <= 0.0:
-        raise ZeroPressureError("loss is undefined at zero pressure")
+        raise ValueError("loss is undefined at zero pressure")
     if measured_force_n < 0.0:
         raise ValueError(f"measured force must be >= 0, got {measured_force_n!r}")
     return 1.0 - measured_force_n / ideal_force(pressure_kpa, cs, safety_cap_kpa=math.inf)

@@ -98,7 +98,7 @@ def generate_sweep(cfg: RigConfig) -> SweepDataset:
     pressures = np.array(cfg.protocol.pressures())
     trials = cfg.protocol.trials
     rows = len(names) * len(pressures) * trials
-    reject(rows, rows > MAX_ROWS, ValueError,
+    reject(rows, rows > MAX_ROWS,
            "a sweep of {} rows exceeds the cap of {} rows", MAX_ROWS)
     specs = [cfg.ground_truth[name] for name in names]
     clean = np.array([ideal_force(pressures, s.cross_section, safety_cap_kpa=s.max_pressure_kpa)

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from ._lazy import np
 from .geometry import DEFAULT_SAFETY_CAP_KPA, CrossSection, ideal_force, reject
-from .loss import LinearLoss, LossModel, loss_fraction, loss_from_measurement
+from .loss import LinearLoss, LossModel, _check_valid_range, loss_fraction, loss_from_measurement
 from .svgchart import byte_rows, csv_field, fixed_text, join_rows
 
 MEASUREMENT_HEADER = ["shape_id", "pressure_kpa", "trial", "force_n"]
@@ -35,14 +35,6 @@ REPORT_HEADER = [
 ]
 
 
-class UnknownShapeError(ValueError):
-    """A dataset shape_id has no registered cross-section."""
-
-
-class FitError(ValueError):
-    """The fit window holds too little, degenerate or overflowing data."""
-
-
 @dataclass(frozen=True)
 class SweepProtocol:
     """Stepwise pressurization protocol: start..stop in fixed increments."""
@@ -53,12 +45,14 @@ class SweepProtocol:
     trials: int = 3
 
     def __post_init__(self) -> None:
-        if self.step_kpa <= 0.0:
-            raise ValueError("step_kpa must be > 0")
+        if not self.step_kpa > 0.0:  # NaN fails it too
+            raise ValueError(f"step_kpa must be > 0, got {self.step_kpa!r}")
         if not 0.0 < self.start_kpa <= self.stop_kpa:
-            raise ValueError("need 0 < start_kpa <= stop_kpa")
+            raise ValueError(
+                f"need 0 < start_kpa <= stop_kpa, got {self.start_kpa!r} and {self.stop_kpa!r}"
+            )
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise ValueError(f"trials must be >= 1, got {self.trials!r}")
 
     def pressures(self) -> list[float]:
         """start, start + step, ... up to stop; never past stop when the step does not divide."""
@@ -105,10 +99,10 @@ class SweepDataset:
             raise ValueError(f"shape_names must be distinct, got {names!r}")
         if not len(code) == len(p) == len(t) == len(f):
             raise ValueError("dataset columns differ in length")
-        reject(code, (code < 0) | (code >= len(names)), ValueError, "shape_code {} is out of range")
-        reject(p, (p <= 0.0) | ~np.isfinite(p), ValueError, "pressure_kpa must be > 0, got {!r}")
-        reject(f, (f < 0.0) | ~np.isfinite(f), ValueError, "force_n must be >= 0, got {!r}")
-        reject(t, t < 1, ValueError, "trial must be >= 1, got {!r}")
+        reject(code, (code < 0) | (code >= len(names)), "shape_code {} is out of range")
+        reject(p, (p <= 0.0) | ~np.isfinite(p), "pressure_kpa must be > 0, got {!r}")
+        reject(f, (f < 0.0) | ~np.isfinite(f), "force_n must be >= 0, got {!r}")
+        reject(t, t < 1, "trial must be >= 1, got {!r}")
 
     def aggregates(self) -> StepTable:
         """Per (shape_id, pressure) mean of the trial forces, in step order.
@@ -187,14 +181,14 @@ def validate_sweep(
 def _step_losses(table: StepTable, shapes: dict[str, CrossSection]) -> list[tuple[float, float]]:
     """The (ideal force P*A, loss) of every step, in table order.
 
-    A shape with no cross-section raises UnknownShapeError; a mean force
-    above P*A (a negative loss) raises ValueError.
+    A shape with no cross-section, or a mean force above P*A (a negative
+    loss), raises ValueError.
     """
     out = []
     for shape_id, p, mean in zip(table.shape_id, table.pressure_kpa.tolist(),
                                  table.mean_force_n.tolist()):
         if shape_id not in shapes:
-            raise UnknownShapeError(f"shape {shape_id!r} has no cross-section")
+            raise ValueError(f"shape {shape_id!r} has no cross-section")
         ideal = ideal_force(p, shapes[shape_id], safety_cap_kpa=math.inf)
         loss = loss_from_measurement(p, shapes[shape_id], mean)
         if loss < 0.0:  # the shell cannot deliver more than P*A
@@ -237,17 +231,18 @@ def fit_linear_loss(
 
     r^2 is the coefficient of determination 1 - SS_res/SS_tot about the
     mean loss; SS_tot == 0 (all losses identical) yields r^2 = 1 when the
-    residuals are also zero. ``label`` names the series in a FitError for
+    residuals are also zero. ``label`` names the series in the ValueError for
     losses too large to square.
     """
+    _check_valid_range(window_kpa, "window_kpa")  # the window becomes the fitted model's range
     lo, hi = window_kpa
     pts = sorted((p, y) for p, y in series if lo <= p <= hi)
     if len(pts) < 3:
-        raise FitError(f"need >= 3 points inside window [{lo}, {hi}], got {len(pts)}")
+        raise ValueError(f"need >= 3 points inside window [{lo}, {hi}], got {len(pts)}")
     xs = [p for p, _ in pts]
     ys = [y for _, y in pts]
     if len(set(xs)) < 2:
-        raise FitError("all pressures identical; slope is unconstrained")
+        raise ValueError("all pressures identical; slope is unconstrained")
     n = len(pts)
     try:
         mx = math.fsum(xs) / n
@@ -262,7 +257,7 @@ def fit_linear_loss(
         r_squared = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else 1.0 - ss_res / ss_tot
     except OverflowError:
         worst = max(map(abs, ys))
-        raise FitError(f"{label}: loss values too large to fit, up to {worst:g} in size") from None
+        raise ValueError(f"{label}: loss values too large to fit, up to {worst:g} in size") from None
     deltas = None
     if reference is not None:
         deltas = (slope - reference.slope_per_kpa, intercept - reference.intercept)

@@ -70,8 +70,8 @@ class TestGeometry:
         assert "square(side_mm=44.3113)" in out
         assert "1963.4954" in out
 
-    def test_bad_aspect_is_usage_error(self, capsys):
-        assert run(["geometry", "--radius", "25", "--aspect", "0.5"]) == 1
+    def test_bad_aspect_exits_2(self, capsys):
+        assert run(["geometry", "--radius", "25", "--aspect", "0.5"]) == 2
 
     def test_aspect_one_rectangle_equals_square(self, capsys):
         assert run(["geometry", "--radius", "25", "--aspect", "1"]) == 0
@@ -368,15 +368,15 @@ class TestErrorContract:
         assert (code, err) == (2, "error: measurement CSV line 12: "
                                   "could not convert string to float: '4x5'\n")
 
-    @pytest.mark.parametrize("args, code, rows", [
-        (["simulate", "--dt", "1e-9", "--cycles", "10"], 1, "a trace of 72000000000 rows"),
-        (["generate", "--trials", "100000000"], 2, "a sweep of 4800000000 rows"),
-        (["simulate", "--dt", "1e-320"], 1, "a trace of inf rows"),
+    @pytest.mark.parametrize("args, rows", [
+        (["simulate", "--dt", "1e-9", "--cycles", "10"], "a trace of 72000000000 rows"),
+        (["generate", "--trials", "100000000"], "a sweep of 4800000000 rows"),
+        (["simulate", "--dt", "1e-320"], "a trace of inf rows"),
     ], ids=["simulate", "generate", "simulate-subnormal-dt"])
-    def test_work_above_the_row_cap_is_refused(self, tmp_path, args, code, rows):
+    def test_work_above_the_row_cap_is_refused(self, tmp_path, args, rows):
         out = tmp_path / "out"
         assert run_limited([*args, "--out", str(out)]) == (
-            code, f"error: {rows} exceeds the cap of 10000000 rows\n"
+            2, f"error: {rows} exceeds the cap of 10000000 rows\n"
         )
         assert not out.exists()
 
@@ -390,6 +390,34 @@ class TestErrorContract:
         assert "the dataset has no measurement rows" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, name, shown", [
+        ("simulate --duration nan", "cycle_duration_s", "nan"),
+        ("simulate --duration inf", "cycle_duration_s", "inf"),
+        ("simulate --dt nan", "dt_s", "nan"),
+        ("simulate --tau nan", "tau_s", "nan"),
+        ("simulate --tau inf", "tau_s", "inf"),
+        ("simulate --cycles -1", "n_cycles", "-1"),
+        # beyond float range: the step count must not be computed first
+        pytest.param("simulate --cycles 1" + "0" * 400, "n_cycles", "1" + "0" * 400,
+                     id="simulate --cycles 10**400"),
+        ("geometry --radius -1", "reference_radius_mm", "-1.0"),
+        ("geometry --radius 0", "reference_radius_mm", "0.0"),
+        ("geometry --aspect 0.5 --radius 25", "rectangle_aspect", "0.5"),
+        ("geometry --aspect nan --radius 25", "rectangle_aspect", "nan"),
+        ("generate --trials 0", "trials", "0"),
+        ("fit --trials 0 --input {csv}", "trials", "0"),
+        ("fit --window 60 30 --trials 1 --input {csv}", "window_kpa", "(60.0, 30.0)"),
+        ("fit --window nan 30 --trials 1 --input {csv}", "window_kpa", "(nan, 30.0)"),
+        ("fit --window 30 inf --trials 1 --input {csv}", "window_kpa", "(30.0, inf)"),
+    ])
+    def test_bad_flag_value_exits_2_naming_it(self, one_trial_csv, tmp_path, capsys,
+                                              argv, name, shown):
+        argv = argv.format(csv=one_trial_csv[1] / "measurements.csv").split()
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be ") and err.endswith(f", got {shown}\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
     def test_bad_config_file_exits_2_naming_it(self, one_trial_csv, tmp_path, capsys, case):
@@ -557,8 +585,16 @@ class TestFuzz:
 
     @FUZZ
     @given(data=st.data())
-    def test_random_argv(self, argv_dir, data):
-        assert main(data.draw(argvs(argv_dir))) in (0, 1, 2)
+    def test_random_argv(self, argv_dir, capsys, data):
+        capsys.readouterr()  # the fixture spans examples: drop what earlier ones printed
+        code = main(data.draw(argvs(argv_dir)))
+        first_line = (capsys.readouterr().err.splitlines() or [""])[0]
+        if code == 1:
+            assert first_line.startswith("usage error:")
+        elif code == 2:
+            assert first_line.startswith(("error:", "protocol violation:"))
+        else:
+            assert code == 0
 
     @settings(max_examples=4, deadline=None)
     # 48 sweep rows a trial; 1.2 / dt steps a cycle, 6 trace rows a step
@@ -568,7 +604,7 @@ class TestFuzz:
     def test_random_argv_above_the_row_cap(self, argv_dir, argv):
         out = argv_dir / "above-cap"
         code, err = run_limited([*argv, "--out", str(out)])
-        assert code in (1, 2) and err.endswith(" exceeds the cap of 10000000 rows\n")
+        assert code == 2 and err.endswith(" exceeds the cap of 10000000 rows\n")
         assert not out.exists()
 
     @FUZZ
@@ -657,25 +693,9 @@ class TestSimulate:
         assert rows
         assert all(float(r.split(",")[4]) == 0.0 for r in rows)
 
-    @pytest.mark.parametrize("flag, value, name", [
-        ("--duration", "nan", "cycle_duration_s"),
-        ("--duration", "inf", "cycle_duration_s"),
-        ("--dt", "nan", "dt_s"),
-        ("--tau", "nan", "tau_s"),
-        ("--tau", "inf", "tau_s"),
-        ("--cycles", "-1", "n_cycles"),
-        # beyond float range: the step count must not be computed first
-        pytest.param("--cycles", "1" + "0" * 400, "n_cycles", id="--cycles-10**400-n_cycles"),
-    ])
-    def test_bad_simulate_flag_exits_1_naming_it(self, tmp_path, capsys, flag, value, name):
-        assert run(["simulate", flag, value, "--out", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {name} must be ") and err.endswith(f", got {value}\n")
-        assert not (tmp_path / "out").exists()
-
     def test_dt_longer_than_phase_is_error(self, tmp_path, capsys):
         assert (
-            run(["simulate", "--out", str(tmp_path), "--duration", "1.0", "--dt", "0.2"]) == 1
+            run(["simulate", "--out", str(tmp_path), "--duration", "1.0", "--dt", "0.2"]) == 2
         )
 
     def test_over_cap_schedule_exits_2(self, tmp_path, capsys):
@@ -709,9 +729,9 @@ class TestConfigIO:
         assert configio.load_schedule(str(path)) == schedule
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(configio.ConfigError):
+        with pytest.raises(ValueError, match="^unknown cross-section kind 'hexagon'$"):
             configio.cross_section_from_dict({"kind": "hexagon", "side_mm": 3})
 
     def test_unknown_direction_rejected(self):
-        with pytest.raises(configio.ConfigError):
+        with pytest.raises(ValueError, match="^unknown force direction 'upward'$"):
             configio._direction("upward")

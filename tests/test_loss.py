@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from shellact.geometry import Circle, RoundedRectangle, SafetyCapError, check_pressure, ideal_force
+from shellact.geometry import Circle, RoundedRectangle, check_pressure, ideal_force
 from shellact.loss import (
     BALLOON_LOSS,
     ENGINEERED_LOSS,
     ActuatorSpec,
     ExponentialLoss,
     LinearLoss,
-    OverPressureError,
-    ZeroPressureError,
     balloon_spec,
     efficiency,
     engineered_spec,
@@ -72,7 +70,7 @@ class TestPredictedForce:
         assert predicted_force(50.0, engineered_spec()) > 100.0
 
     def test_over_pressure(self):
-        with pytest.raises(OverPressureError):
+        with pytest.raises(ValueError, match="^pressure 55.0 kPa exceeds actuator max 50.0 kPa$"):
             predicted_force(55.0, engineered_spec())
 
     def test_bounded_by_ideal(self):
@@ -102,7 +100,7 @@ class TestLossFromMeasurement:
         assert loss_from_measurement(40.0, cs, 1.1 * ideal_force(40.0, cs)) < 0.0
 
     def test_zero_pressure_rejected(self):
-        with pytest.raises(ZeroPressureError):
+        with pytest.raises(ValueError, match="^loss is undefined at zero pressure$"):
             loss_from_measurement(0.0, Circle(25.0), 10.0)
 
     @given(st.floats(min_value=30.0, max_value=60.0))
@@ -166,7 +164,7 @@ class TestArrayEvaluation:
             assert lv.extrapolated.tolist() == [w.extrapolated for w in want]
 
     def test_over_pressure_names_first_offender(self):
-        with pytest.raises(OverPressureError, match="pressure 61.5 kPa"):
+        with pytest.raises(ValueError, match="pressure 61.5 kPa exceeds actuator max"):
             predicted_force(np.array([10.0, 61.5, 70.0]), balloon_spec())
 
     def test_bad_pressures_name_offender(self):
@@ -176,7 +174,7 @@ class TestArrayEvaluation:
             check_pressure(np.array([1.0, -1.0, math.inf]))
         with pytest.raises(ValueError, match="got inf"):
             ideal_force(np.array([1.0, math.inf]), Circle(25.0))
-        with pytest.raises(SafetyCapError, match="pressure 60.5 kPa"):
+        with pytest.raises(ValueError, match="pressure 60.5 kPa exceeds safety cap"):
             ideal_force(np.array([1.0, 60.5]), Circle(25.0))
 
     def test_scalar_errors_unchanged(self):
@@ -184,7 +182,7 @@ class TestArrayEvaluation:
             check_pressure(-5)
         with pytest.raises(ValueError, match="got nan"):
             check_pressure(math.nan)
-        with pytest.raises(OverPressureError, match="pressure 61 kPa"):
+        with pytest.raises(ValueError, match="pressure 61 kPa exceeds actuator max"):
             predicted_force(61, balloon_spec())
 
 
@@ -219,10 +217,10 @@ class TestInputKindParity:
 
     @pytest.mark.parametrize("p, shown", OVER_CAP_BY_KIND)
     def test_over_cap(self, p, shown):
-        with pytest.raises(SafetyCapError) as exc:
+        with pytest.raises(ValueError, match="exceeds safety cap") as exc:
             check_pressure(p, 50.0)
         assert str(exc.value) == f"pressure {shown} kPa exceeds safety cap 50.0 kPa"
-        with pytest.raises(OverPressureError) as exc:
+        with pytest.raises(ValueError, match="exceeds actuator max") as exc:
             predicted_force(p, balloon_spec())
         assert str(exc.value) == f"pressure {shown} kPa exceeds actuator max 60.0 kPa"
 

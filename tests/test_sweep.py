@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -13,10 +14,8 @@ from shellact.geometry import Circle, equal_area_family, ideal_force
 from shellact.loss import BALLOON_LOSS, balloon_spec, loss_fraction, predicted_force
 from shellact.rig import RigConfig, generate_sweep
 from shellact.sweep import (
-    FitError,
     SweepDataset,
     SweepProtocol,
-    UnknownShapeError,
     Violation,
     compute_loss_series,
     comparison_report,
@@ -81,6 +80,16 @@ class TestSweepProtocol:
 
     def test_float_step_reaches_stop(self):
         assert len(SweepProtocol(0.1, 0.1, 0.3).pressures()) == 3
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"step_kpa": 0.0}, "step_kpa must be > 0, got 0.0"),
+        ({"step_kpa": math.nan}, "step_kpa must be > 0, got nan"),
+        ({"start_kpa": 70.0}, "need 0 < start_kpa <= stop_kpa, got 70.0 and 60.0"),
+        ({"trials": 0}, "trials must be >= 1, got 0"),
+    ])
+    def test_bad_field_named_with_its_value(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SweepProtocol(**fields)
 
 
 class TestAggregation:
@@ -236,7 +245,7 @@ class TestLossSeries:
 
     def test_unknown_shape(self):
         ds = dataset([("mystery", 30.0, 1, 10.0)])
-        with pytest.raises(UnknownShapeError, match="^shape 'mystery' has no cross-section$"):
+        with pytest.raises(ValueError, match="^shape 'mystery' has no cross-section$"):
             compute_loss_series(ds.aggregates(), SHAPES)
 
 
@@ -285,20 +294,27 @@ class TestFitLinearLoss:
         rep = fit_linear_loss(EXACT_POINTS, reference=BALLOON_LOSS)
         assert rep.reference_deltas == pytest.approx((0.0, 0.0), abs=1e-12)
 
+    @pytest.mark.parametrize("window", [(60.0, 30.0), (math.nan, 30.0), (30.0, math.inf),
+                                        (-10.0, 60.0)])
+    def test_bad_window_is_named(self, window):
+        message = f"window_kpa must be finite with 0 <= lo < hi, got {window!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fit_linear_loss(EXACT_POINTS, window)
+
     def test_insufficient_points(self):
-        with pytest.raises(FitError):
+        with pytest.raises(ValueError, match=r"^need >= 3 points inside window \[30.0, 60.0\], got 2"):
             fit_linear_loss(EXACT_POINTS[:2])
 
     def test_degenerate_pressures(self):
-        with pytest.raises(FitError):
+        with pytest.raises(ValueError, match="^all pressures identical; slope is unconstrained$"):
             fit_linear_loss([(40.0, 0.3), (40.0, 0.31), (40.0, 0.32)])
 
     def test_overflowing_losses_name_the_series(self):
         pts = [(30.0, 0.3), (45.0, -1e300), (60.0, 0.2)]
         too_large = r"^shape 'circle': loss values too large to fit, up to 1e\+300"
-        with pytest.raises(FitError, match=too_large):
+        with pytest.raises(ValueError, match=too_large):
             fit_linear_loss(pts, label="shape 'circle'")
-        with pytest.raises(FitError, match="^pooled series: "):
+        with pytest.raises(ValueError, match="^pooled series: "):
             fit_linear_loss(pts)
 
     def test_monte_carlo_slope_recovery(self):
