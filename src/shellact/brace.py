@@ -104,12 +104,12 @@ def corrective_moment(layout: BraceLayout, forces_n: dict) -> tuple:
 
 
 def _lag(commanded_kpa: np.ndarray, alpha: float) -> np.ndarray:
-    """Supply pressures [n, k] from 0 kPa, stepping a <- a + (c - a) * alpha in order."""
-    columns = []
-    for column in commanded_kpa.T.tolist():
+    """Supply pressures [n, k] from 0 kPa, stepping a <- a + (c - a) * alpha, a column at a time."""
+    actual = np.empty(commanded_kpa.shape)
+    for j in range(actual.shape[1]):
         a = 0.0
-        columns.append([a := a + (c - a) * alpha for c in column])
-    return np.array(columns, dtype=float).T
+        actual[:, j] = [a := a + (c - a) * alpha for c in commanded_kpa[:, j].tolist()]
+    return actual
 
 
 @dataclass(frozen=True)
@@ -254,7 +254,7 @@ def default_valgus_schedule() -> GaitSchedule:
 
 
 TRACE_HEADER = ["t_s", "actuator_id", "commanded_kpa", "actual_kpa", "force_n", "moment_nm"]
-_CHUNK_STEPS = 1024
+_CHUNK_STEPS = 512
 
 
 def write_trace_csv(trace: SimulationTrace) -> str:

@@ -52,6 +52,12 @@ class RigConfig:
                     f"protocol stop {self.protocol.stop_kpa} kPa exceeds "
                     f"max pressure of actuator {shape_id!r}"
                 )
+        stop = self.protocol.stop_kpa
+        bound = max(ideal_force(stop, spec.cross_section, math.inf)
+                    for spec in self.ground_truth.values())
+        if self.noise_sigma_n > bound:
+            raise ValueError(f"noise_sigma_n must be <= {bound:.4g} N, the largest ideal force "
+                             f"P*A of the sweep (at stop_kpa {stop}), got {self.noise_sigma_n!r}")
 
 
 def default_noise_sigma_n(cfg_ground_truth: dict[str, ActuatorSpec], protocol: SweepProtocol) -> float:
@@ -106,8 +112,8 @@ def generate_sweep(cfg: RigConfig) -> SweepDataset:
     # sigma 0 draws zeros: the noise is 0.0 + 0.0 * z
     force = rng.normal(0.0, cfg.noise_sigma_n, (len(names), len(pressures), trials))
     force += clean[:, :, None]
-    if not np.isfinite(force).all():  # sigma * z overflows to inf
-        raise ValueError(f"noise_sigma_n {cfg.noise_sigma_n!r} draws forces beyond the float range")
+    if not np.isfinite(force).all():  # P*A overflows for an area near the float max
+        raise ValueError(f"forces overflow the float range at stop_kpa {cfg.protocol.stop_kpa}")
     force[force <= 0.0] = 0.0  # not np.maximum, so -0.0 is written as 0.0000
     provenance = [
         f"seed: {cfg.seed}",

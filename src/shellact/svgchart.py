@@ -3,7 +3,7 @@
 Hand-rolled on purpose: outputs must be byte-identical across runs, which
 rules out plotting libraries that embed timestamps or version metadata.
 One polyline per series, fixed palette, fixed coordinate formatting.
-Coordinates are array math over all points. The text of the polyline
+Coordinates are array math, one series at a time. The text of the polyline
 points, and of the trace and measurement CSVs, comes from one kernel:
 ``fixed_text`` builds each number's exact ``format`` text as a row of bytes
 with array arithmetic, and ``join_rows`` joins such rows into lines.
@@ -122,18 +122,14 @@ def line_chart_svg(series: dict, title: str, x_label: str, y_label: str) -> str:
 
     Each series is a sequence of (x, y) pairs or an [n, 2] array.
     """
-    counts = [len(s) for s in series.values()]
-    arrays = (np.asarray(s, dtype=float) for s in series.values() if len(s))
-    pts = np.concatenate([np.empty((0, 2)), *arrays])
-    if not len(pts):
-        xs_lo, xs_hi, ys_lo, ys_hi = 0.0, 1.0, 0.0, 1.0
-    else:
-        xs_lo, ys_lo = pts.min(axis=0).tolist()
-        xs_hi, ys_hi = pts.max(axis=0).tolist()
-        if xs_hi == xs_lo:
-            xs_hi = xs_lo + 1.0
-        if ys_hi == ys_lo:
-            ys_hi = ys_lo + 1.0
+    arrays = [np.asarray(s, dtype=float) if len(s) else np.empty((0, 2)) for s in series.values()]
+    filled = [a for a in arrays if len(a)] or [np.zeros((1, 2))]  # no points: ranges [0, 1]
+    xs_lo, ys_lo = np.min([a.min(axis=0) for a in filled], axis=0).tolist()
+    xs_hi, ys_hi = np.max([a.max(axis=0) for a in filled], axis=0).tolist()
+    if xs_hi == xs_lo:
+        xs_hi = xs_lo + 1.0
+    if ys_hi == ys_lo:
+        ys_hi = ys_lo + 1.0
 
     def px(x):
         return _ML + (x - xs_lo) / (xs_hi - xs_lo) * (_W - _ML - _MR)
@@ -166,15 +162,11 @@ def line_chart_svg(series: dict, title: str, x_label: str, y_label: str) -> str:
             f'<text x="{_ML - 6}" y="{py(ty):.2f}" text-anchor="end" '
             f'font-size="10">{ty:g}</text>'
         )
-    # all series at once: sorted by series, then x, then y
-    owner = np.repeat(np.arange(len(counts)), counts)
-    xs, ys = pts[np.lexsort((pts[:, 1], pts[:, 0], owner))].T
-    x_text, y_text = fixed_text(px(xs), 2), fixed_text(py(ys), 2)
-    end = 0
-    for i, (label, count) in enumerate(zip(series, counts)):
+    for i, (label, pts) in enumerate(zip(series, arrays)):
         color = _PALETTE[i % len(_PALETTE)]
-        coords = join_rows([x_text[end:end + count], y_text[end:end + count]], ",", " ")[:-1]
-        end += count
+        xs, ys = pts[np.lexsort((pts[:, 1], pts[:, 0]))].T  # by x, then y
+        text = fixed_text([px(xs), py(ys)], 2)  # the x rows, then the y rows
+        coords = join_rows([text[:len(xs)], text[len(xs):]], ",", " ")[:-1]
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>'
         )

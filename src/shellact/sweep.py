@@ -47,6 +47,9 @@ class SweepProtocol:
     def __post_init__(self) -> None:
         if not self.step_kpa > 0.0:  # NaN fails it too
             raise ValueError(f"step_kpa must be > 0, got {self.step_kpa!r}")
+        for name in ("start_kpa", "step_kpa", "stop_kpa"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not 0.0 < self.start_kpa <= self.stop_kpa:
             raise ValueError(
                 f"need 0 < start_kpa <= stop_kpa, got {self.start_kpa!r} and {self.stop_kpa!r}"

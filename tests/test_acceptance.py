@@ -17,7 +17,7 @@ from shellact.loss import (
     loss_fraction,
     predicted_force,
 )
-from shellact.rig import RigConfig, generate_sweep, generate_sweep_csv
+from shellact.rig import RigConfig, default_noise_sigma_n, generate_sweep, generate_sweep_csv
 from shellact.sweep import SweepProtocol, compute_loss_series, fit_linear_loss
 
 SHAPE_IDS = ["circle", "triangle", "square", "rectangle"]
@@ -159,3 +159,29 @@ def test_criterion_8_byte_determinism(tmp_path):
              "trace.csv", "trace.svg"]
     cli_ok = all((a / f).read_bytes() == (b / f).read_bytes() for f in files)
     report("criterion 8: generation, fitting, simulation byte-identical across runs", gen_ok and cli_ok)
+
+
+def test_criterion_9_engineered_anchor_recovered():
+    # the engineered actuator's 3 % loss at 50 kPa, recovered by generate -> fit of
+    # (P, ln loss): amplitude e**intercept, decay -slope; pre_knee_kpa 0 turns the blend off
+    spec, protocol = engineered_spec(), SweepProtocol(stop_kpa=50.0)
+
+    def recovered(sigma, seed):
+        cfg = RigConfig({"eng": spec}, protocol, noise_sigma_n=sigma, pre_knee_kpa=0.0, seed=seed)
+        series = compute_loss_series(generate_sweep(cfg).aggregates(), {"eng": spec.cross_section})
+        rep = fit_linear_loss([(p, math.log(y)) for p, y in series["eng"]], (5.0, 50.0))
+        amplitude, decay = math.exp(rep.intercept), -rep.slope_per_kpa
+        return amplitude, decay, amplitude * math.exp(-decay * 50.0)
+
+    amplitude, decay, loss50 = recovered(0.0, 0)
+    exact_ok = (abs(amplitude - 0.993) <= 1e-6 and abs(decay - 0.07) <= 1e-6
+                and abs(loss50 - 0.03) <= 1e-4)
+    # 200-seed Monte Carlo at the default sigma, 1 % of the mid-sweep P*A: 0.645 N
+    sigma = default_noise_sigma_n({"eng": spec}, protocol)
+    mc = [recovered(sigma, seed)[2] for seed in range(200)]
+    mc_ok = abs(sigma - 0.645) <= 5e-4 and all(0.0250 <= x <= 0.0345 for x in mc)
+    report(
+        f"criterion 9: engineered loss(50) = {loss50:.2%} recovered exactly; "
+        f"MC loss(50) {min(mc):.2%}-{max(mc):.2%} over 200 seeds, within [2.50, 3.45] %",
+        exact_ok and mc_ok,
+    )

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -323,6 +324,20 @@ class TestColumnarMatchesReference:
         schedule = default_valgus_schedule()
         for pos in (0.0, 0.1, 0.4, 0.6, 0.999, 1.0, 1.1, 0.1 - 1e-16, 0.4 + 1e-15, 3.7):
             assert schedule.phases[schedule.phase_index(pos)] is reference_phase_at(schedule, pos)
+
+
+class TestMemory:
+    def test_lag_holds_one_column_of_python_floats(self):
+        # one column's input and result lists are about 2 * 12000 * 32 bytes; all six
+        # columns at once put the traced peak at about 8x the output's bytes
+        commanded = np.tile([0.0, 30.0, 50.0, 40.0, 0.0, 30.0], (12000, 1))
+        tracemalloc.start()
+        try:
+            actual = brace._lag(commanded, 0.005)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * actual.nbytes, (peak, actual.nbytes)
 
 
 class TestTraceCsv:

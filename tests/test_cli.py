@@ -275,10 +275,14 @@ class TestErrorContract:
 
     def test_overflowing_noise_sigma_exits_2_naming_it(self, tmp_path, capsys):
         out = tmp_path / "out"
-        assert run(["generate", "--noise-sigma", "1e308", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err == "error: noise_sigma_n 1e+308 draws forces beyond the float range\n"
-        assert not out.exists()
+        for value in ("1e308", "1e300"):  # 1e300 used to write forces of about 300 digits
+            assert run(["generate", "--noise-sigma", value, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err == (
+                "error: noise_sigma_n must be <= 117.8 N, the largest ideal force P*A of the "
+                f"sweep (at stop_kpa 60.0), got {float(value)!r}\n"
+            )
+            assert not out.exists()
 
     def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,10 +1,11 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from shellact.geometry import equal_area_family
+from shellact.geometry import Square, equal_area_family
 from shellact.loss import balloon_spec, engineered_spec, loss_fraction, predicted_force
 from shellact.rig import (
     RigConfig,
@@ -168,10 +169,27 @@ class TestConfigValidation:
             make_cfg(noise_sigma_n=sigma)
 
     def test_sigma_whose_draws_overflow_names_it(self):
-        # finite sigma, but sigma * z is inf once |z| > 1.8
-        message = "noise_sigma_n 1e+308 draws forces beyond the float range"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            generate_sweep(make_cfg(noise_sigma_n=1e308))
+        for sigma in (1e308, 1e300):  # refused before any draw: far above the sweep's P*A
+            message = ("noise_sigma_n must be <= 117.8 N, the largest ideal force P*A of the "
+                       f"sweep (at stop_kpa 60.0), got {sigma!r}")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                make_cfg(noise_sigma_n=sigma)
+
+    def test_sigma_is_bounded_by_the_largest_ideal_force_at_stop(self):
+        make_cfg(noise_sigma_n=117.8)  # the balloon family's P*A at 60 kPa is 117.81 N
+        with pytest.raises(ValueError, match=r"^noise_sigma_n must be <= 117\.8 N, .* 117\.81$"):
+            make_cfg(noise_sigma_n=117.81)
+        with pytest.raises(ValueError, match=r"<= 58\.9 N, .* \(at stop_kpa 30\.0\), got 60\.0$"):
+            make_cfg(noise_sigma_n=60.0, protocol=SweepProtocol(stop_kpa=30.0))
+
+    def test_ideal_force_past_the_float_range_is_refused(self):
+        # the sigma bound keeps the noise finite, but P*A itself can overflow
+        spec = replace(engineered_spec(), cross_section=Square(1e154), max_pressure_kpa=1000.0,
+                       allow_extrapolation=True)
+        cfg = RigConfig({"huge": spec}, SweepProtocol(1000.0, 1.0, 1000.0), noise_sigma_n=1e308)
+        message = "forces overflow the float range at stop_kpa 1000.0"
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate_sweep(cfg)
 
     def test_default_sigma_is_one_percent_of_midrange_ideal(self):
         sigma = default_noise_sigma_n(GROUND_TRUTH, SweepProtocol())

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import xml.dom.minidom
 from pathlib import Path
 from xml.sax.saxutils import escape
@@ -73,6 +74,21 @@ class TestSeriesInput:
         svg = line_chart_svg({"s": []}, "t", "x", "y")
         assert 'points=""' in svg
         xml.dom.minidom.parseString(svg)
+
+
+class TestMemory:
+    def test_chart_works_one_series_at_a_time(self):
+        # all 72k points sorted and formatted at once put the traced peak at about 47x
+        # one series' array; one series at a time, plus the SVG text, at about 19x
+        t = np.arange(1, 12001) * 1e-3
+        series = {f"s{j}": np.column_stack((t, np.sin(t * (j + 1)) * 50.0)) for j in range(6)}
+        tracemalloc.start()
+        try:
+            line_chart_svg(series, "t", "x", "y")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25 * series["s0"].nbytes, (peak, series["s0"].nbytes)
 
 
 class TestMatchesReference:

@@ -86,6 +86,10 @@ class TestSweepProtocol:
         ({"step_kpa": math.nan}, "step_kpa must be > 0, got nan"),
         ({"start_kpa": 70.0}, "need 0 < start_kpa <= stop_kpa, got 70.0 and 60.0"),
         ({"trials": 0}, "trials must be >= 1, got 0"),
+        ({"step_kpa": math.inf}, "step_kpa must be finite, got inf"),
+        ({"stop_kpa": math.inf}, "stop_kpa must be finite, got inf"),
+        ({"start_kpa": math.inf, "stop_kpa": math.inf}, "start_kpa must be finite, got inf"),
+        ({"start_kpa": math.nan}, "start_kpa must be finite, got nan"),
     ])
     def test_bad_field_named_with_its_value(self, fields, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
