@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from ._lazy import np
 from .geometry import MAX_ROWS, reject
-from .loss import ActuatorSpec, predicted_force
+from .loss import ActuatorSpec, engineered_spec, predicted_force
 from .svgchart import byte_rows, csv_field, fixed_text, join_rows
 
 
@@ -60,6 +60,11 @@ class ActuatorPlacement:
     spec: ActuatorSpec
     lever_arm_m: float
     direction: ForceDirection
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.lever_arm_m):
+            raise ValueError(f"lever_arm_m of {self.actuator_id!r} must be finite, "
+                             f"got {self.lever_arm_m!r}")
 
 
 @dataclass(frozen=True)
@@ -215,15 +220,12 @@ def run_gait_cycle(
     return SimulationTrace((k + 1.0) * dt_s, commanded, actual, force, net, moment, ids)
 
 
-def default_layout(spec: ActuatorSpec | None = None) -> BraceLayout:
+def default_layout() -> BraceLayout:
     """Six molded actuators, one per (site, side), each pushing inward from its side.
 
     Lever arms: thigh +0.15 m, knee 0.0 m, shank -0.15 m.
     """
-    from .loss import engineered_spec
-
-    if spec is None:
-        spec = engineered_spec()
+    spec = engineered_spec()
     arms = {Site.THIGH: 0.15, Site.KNEE: 0.0, Site.SHANK: -0.15}
     inward = {Side.MEDIAL: ForceDirection.MEDIAL_TO_LATERAL,
               Side.LATERAL: ForceDirection.LATERAL_TO_MEDIAL}

@@ -152,19 +152,17 @@ def cmd_fit(args: argparse.Namespace) -> int:
         )
     fit_csv = "\n".join(fit_lines) + "\n"
     print(fit_csv, end="")
-    if args.format in ("csv", "both"):
-        _write(_out_path(args.out, "fit_report.csv"), fit_csv)
-        # comparison table against one fit pooled over all shapes
-        pooled = sweep.fit_linear_loss([pt for s in series.values() for pt in s], window)
-        report = sweep.comparison_report(table, shapes, pooled.as_model())
-        _write(_out_path(args.out, "comparison.csv"), report)
-    if args.format in ("svg", "both"):
-        _write(
-            _out_path(args.out, "loss_vs_pressure.svg"),
-            line_chart_svg(
-                series, "Force loss vs supply pressure", "pressure (kPa)", "loss fraction"
-            ),
-        )
+    _write(_out_path(args.out, "fit_report.csv"), fit_csv)
+    # comparison table against one fit pooled over all shapes
+    pooled = sweep.fit_linear_loss([pt for s in series.values() for pt in s], window)
+    report = sweep.comparison_report(table, shapes, pooled.as_model())
+    _write(_out_path(args.out, "comparison.csv"), report)
+    _write(
+        _out_path(args.out, "loss_vs_pressure.svg"),
+        line_chart_svg(
+            series, "Force loss vs supply pressure", "pressure (kPa)", "loss fraction"
+        ),
+    )
     return EXIT_OK
 
 
@@ -180,19 +178,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     trace = brace.run_gait_cycle(
         layout, schedule, args.duration, args.dt, tau_s=args.tau, n_cycles=args.cycles
     )
-    if args.format in ("csv", "both"):
-        _write(_out_path(args.out, "trace.csv"), brace.write_trace_csv(trace))
-    if args.format in ("svg", "both"):
-        force_series = {
-            aid: np.column_stack((trace.t_s, trace.force_n[:, j]))
-            for j, aid in enumerate(trace.actuator_ids)
-        }
-        _write(
-            _out_path(args.out, "trace.svg"),
-            line_chart_svg(
-                force_series, "Actuator forces over the gait cycle", "time (s)", "force (N)"
-            ),
-        )
+    _write(_out_path(args.out, "trace.csv"), brace.write_trace_csv(trace))
+    force_series = {
+        aid: np.column_stack((trace.t_s, trace.force_n[:, j]))
+        for j, aid in enumerate(trace.actuator_ids)
+    }
+    _write(
+        _out_path(args.out, "trace.svg"),
+        line_chart_svg(
+            force_series, "Actuator forces over the gait cycle", "time (s)", "force (N)"
+        ),
+    )
     if len(trace.t_s):
         print(f"steps: {len(trace.t_s)}")
         print(f"final moment_nm: {_fmt(trace.moment_nm[-1])}")
@@ -232,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--window", type=float, nargs=2, default=[30.0, 60.0], metavar=("LO", "HI"))
     f.add_argument("--trials", type=int, default=3, help="expected trials per step")
     f.add_argument("--out", required=True, help="output directory")
-    f.add_argument("--format", choices=["csv", "svg", "both"], default="both")
     f.set_defaults(func=cmd_fit)
 
     s = sub.add_parser("simulate", help="six-actuator brace gait simulation")
@@ -243,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tau", type=float, default=0.2, help="pressure lag time constant (s)")
     s.add_argument("--cycles", type=int, default=1)
     s.add_argument("--out", required=True, help="output directory")
-    s.add_argument("--format", choices=["csv", "svg", "both"], default="both")
     s.set_defaults(func=cmd_simulate)
 
     return parser

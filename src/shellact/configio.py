@@ -25,6 +25,9 @@ actuator spec::
 shapes file: ``shapes: {<shape_id>: <cross-section>, ...}``
 layout file: ``actuators: [{id, site, side, lever_arm_m, direction, spec}, ...]``
 schedule file: ``phases: [{name, fraction, pressures: {<id>: kPa}}, ...]``
+
+A key not listed above for its mapping is refused, naming the key, so a
+misspelt key never silently falls back to its default.
 """
 
 from __future__ import annotations
@@ -58,6 +61,14 @@ def _expect(value: Any, kind: type, what: str) -> Any:
     return value
 
 
+def _only(d: dict[str, Any], keys: list[str], what: str) -> dict[str, Any]:
+    """``d`` if it is a mapping whose every key is one of ``keys``."""
+    for key in _expect(d, dict, what):
+        if key not in keys:
+            raise ValueError(f"{what} has unknown key {key!r}")
+    return d
+
+
 def _number(value: Any, what: str) -> float:
     try:
         return float(value)
@@ -69,6 +80,7 @@ def cross_section_from_dict(d: dict[str, Any]) -> CrossSection:
     _expect(d, dict, "cross-section")
     try:
         cls = _lookup(CROSS_SECTIONS, d["kind"], "cross-section kind")
+        _only(d, ["kind", *(f.name for f in fields(cls))], "cross-section")
         return cls(*(_number(d[f.name], f.name) for f in fields(cls)))
     except KeyError as exc:
         raise ValueError(f"cross-section config missing key {exc}") from exc
@@ -78,6 +90,7 @@ def loss_model_from_dict(d: dict[str, Any]) -> LossModel:
     _expect(d, dict, "loss model")
     try:
         cls = _lookup(_LOSS_MODELS, d["form"], "loss model form")
+        _only(d, ["form", *(f.name for f in fields(cls))], "loss model")
         bounds = _expect(d["valid_range_kpa"], list, "valid_range_kpa")
         rng = tuple(_number(x, "valid_range_kpa") for x in bounds)
         return cls(*(_number(d[f.name], f.name) for f in fields(cls)[:-1]), rng)
@@ -86,7 +99,7 @@ def loss_model_from_dict(d: dict[str, Any]) -> LossModel:
 
 
 def actuator_spec_from_dict(d: dict[str, Any]) -> ActuatorSpec:
-    _expect(d, dict, "actuator spec")
+    _only(d, [f.name for f in fields(ActuatorSpec)], "actuator spec")
     try:
         return ActuatorSpec(
             cross_section=cross_section_from_dict(d["cross_section"]),
@@ -100,7 +113,7 @@ def actuator_spec_from_dict(d: dict[str, Any]) -> ActuatorSpec:
 
 
 def shapes_from_dict(d: dict[str, Any]) -> dict[str, CrossSection]:
-    shapes = d.get("shapes")
+    shapes = _only(d, ["shapes"], "shapes file").get("shapes")
     if not isinstance(shapes, dict) or not shapes:
         raise ValueError("expected a non-empty 'shapes' mapping")
     return {str(sid): cross_section_from_dict(cs) for sid, cs in shapes.items()}
@@ -108,8 +121,8 @@ def shapes_from_dict(d: dict[str, Any]) -> dict[str, CrossSection]:
 
 def layout_from_dict(d: dict[str, Any]) -> brace.BraceLayout:
     placements = []
-    for entry in _expect(d.get("actuators"), list, "'actuators'"):
-        _expect(entry, dict, "actuator entry")
+    for entry in _expect(_only(d, ["actuators"], "layout").get("actuators"), list, "'actuators'"):
+        _only(entry, ["id", "site", "side", "spec", "lever_arm_m", "direction"], "actuator entry")
         try:
             placements.append(
                 brace.ActuatorPlacement(
@@ -132,8 +145,8 @@ def _direction(name: str) -> brace.ForceDirection:
 
 def schedule_from_dict(d: dict[str, Any]) -> brace.GaitSchedule:
     phases = []
-    for entry in _expect(d.get("phases"), list, "'phases'"):
-        _expect(entry, dict, "phase entry")
+    for entry in _expect(_only(d, ["phases"], "schedule").get("phases"), list, "'phases'"):
+        _only(entry, ["name", "fraction", "pressures"], "phase entry")
         try:
             pressures = _expect(entry.get("pressures") or {}, dict, "phase pressures")
             kpa = {str(k): _number(v, f"pressure of {k!r}") for k, v in pressures.items()}

@@ -162,4 +162,9 @@ def equal_area_family(
 def ideal_force(pressure_kpa, cs: CrossSection, safety_cap_kpa: float = DEFAULT_SAFETY_CAP_KPA):
     """Lossless force P*A in newtons for supply pressures (a float or an array)."""
     check_pressure(pressure_kpa, safety_cap_kpa)
-    return pressure_kpa * area(cs) * _KPA_MM2_TO_N
+    a = area(cs)
+    # the largest pressure overflows first; as a float it does so without a numpy warning
+    p = pressure_kpa.max(initial=0.0).item() if getattr(pressure_kpa, "ndim", 0) else pressure_kpa
+    if not p * a * _KPA_MM2_TO_N < math.inf:  # inf, or NaN from 0 kPa on an infinite area
+        raise ValueError(f"P*A overflows the float range: pressure {p!r} kPa, area {a!r} mm^2")
+    return pressure_kpa * a * _KPA_MM2_TO_N

@@ -11,11 +11,11 @@ float or a numpy array of pressures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._lazy import np
-from .geometry import CrossSection, ideal_force, reject
+from .geometry import Circle, CrossSection, RoundedRectangle, ideal_force, reject
 
 
 def _exp(x):
@@ -111,7 +111,7 @@ class ActuatorSpec:
     loss_model: LossModel
     max_pressure_kpa: float = 60.0
     stroke_mm: float = 5.0
-    allow_extrapolation: bool = field(default=False)
+    allow_extrapolation: bool = False
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.max_pressure_kpa) and self.max_pressure_kpa > 0.0):
@@ -128,25 +128,12 @@ class ActuatorSpec:
 
 #: Balloon prototype: radius-25 mm circular interaction area, linear loss.
 def balloon_spec(cross_section: CrossSection | None = None) -> ActuatorSpec:
-    from .geometry import Circle
-
-    return ActuatorSpec(
-        cross_section=cross_section if cross_section is not None else Circle(25.0),
-        loss_model=BALLOON_LOSS,
-        max_pressure_kpa=60.0,
-        allow_extrapolation=False,
-    )
+    return ActuatorSpec(cross_section if cross_section is not None else Circle(25.0), BALLOON_LOSS)
 
 
 #: Molded actuator: rounded-rectangle interaction area, exponential loss.
 def engineered_spec() -> ActuatorSpec:
-    from .geometry import RoundedRectangle
-
-    return ActuatorSpec(
-        cross_section=RoundedRectangle(60.0, 40.0, 8.0),
-        loss_model=ENGINEERED_LOSS,
-        max_pressure_kpa=50.0,
-    )
+    return ActuatorSpec(RoundedRectangle(60.0, 40.0, 8.0), ENGINEERED_LOSS, max_pressure_kpa=50.0)
 
 
 def predicted_force(pressure_kpa, spec: ActuatorSpec):

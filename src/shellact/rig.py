@@ -24,6 +24,9 @@ from .geometry import MAX_ROWS, ideal_force, reject
 from .loss import ActuatorSpec, loss_fraction
 from .sweep import SweepDataset, SweepProtocol, write_measurements_csv
 
+#: Conditioning cycles the rig runs before a sweep, recorded in the CSV provenance.
+CONDITIONING_CYCLES = 10
+
 
 @dataclass(frozen=True)
 class RigConfig:
@@ -33,7 +36,6 @@ class RigConfig:
     pre_knee_kpa: float = 30.0
     pre_knee_start_loss: float = 0.70
     seed: int = 0
-    conditioning_cycles: int = 10
 
     def __post_init__(self) -> None:
         if not self.ground_truth:
@@ -44,8 +46,6 @@ class RigConfig:
             raise ValueError("pre_knee_start_loss must be in [0, 1]")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
-        if self.conditioning_cycles < 0:
-            raise ValueError("conditioning_cycles must be >= 0")
         for shape_id, spec in self.ground_truth.items():
             if self.protocol.stop_kpa > spec.max_pressure_kpa:
                 raise ValueError(
@@ -81,7 +81,7 @@ def _config_digest(cfg: RigConfig) -> str:
         "pre_knee_kpa": cfg.pre_knee_kpa,
         "pre_knee_start_loss": cfg.pre_knee_start_loss,
         "seed": cfg.seed,
-        "conditioning_cycles": cfg.conditioning_cycles,
+        "conditioning_cycles": CONDITIONING_CYCLES,
     }
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -112,13 +112,13 @@ def generate_sweep(cfg: RigConfig) -> SweepDataset:
     # sigma 0 draws zeros: the noise is 0.0 + 0.0 * z
     force = rng.normal(0.0, cfg.noise_sigma_n, (len(names), len(pressures), trials))
     force += clean[:, :, None]
-    if not np.isfinite(force).all():  # P*A overflows for an area near the float max
+    if not np.isfinite(force).all():  # a guard: ideal_force and the sigma bound keep it finite
         raise ValueError(f"forces overflow the float range at stop_kpa {cfg.protocol.stop_kpa}")
     force[force <= 0.0] = 0.0  # not np.maximum, so -0.0 is written as 0.0000
     provenance = [
         f"seed: {cfg.seed}",
         f"config: {_config_digest(cfg)}",
-        f"conditioning_cycles: {cfg.conditioning_cycles}",
+        f"conditioning_cycles: {CONDITIONING_CYCLES}",
     ]
     return SweepDataset(
         tuple(names),

@@ -144,11 +144,7 @@ class Violation(NamedTuple):
         return f"{self.kind}: {self.detail}"
 
 
-def validate_sweep(
-    table: StepTable,
-    protocol: SweepProtocol,
-    safety_cap_kpa: float = DEFAULT_SAFETY_CAP_KPA,
-) -> list[Violation]:
+def validate_sweep(table: StepTable, protocol: SweepProtocol) -> list[Violation]:
     """Check a dataset's step table against the sweep protocol; violations are data, not errors."""
     if not table.shape_id:
         return [Violation("empty sweep", "the dataset has no measurement rows")]
@@ -171,9 +167,9 @@ def validate_sweep(
             detail = (f"shape {shape_id!r} at {p:g} kPa has {n} rows "
                       f"but {distinct} distinct trial ids")
             violations.append(Violation("duplicate trial", detail))
-        if p > safety_cap_kpa:
+        if p > DEFAULT_SAFETY_CAP_KPA:
             detail = (f"shape {shape_id!r} record at {p:g} kPa "
-                      f"exceeds the {safety_cap_kpa:g} kPa cap")
+                      f"exceeds the {DEFAULT_SAFETY_CAP_KPA:g} kPa cap")
             violations.append(Violation("over cap", detail))
     return violations
 
@@ -217,7 +213,6 @@ class FitReport(NamedTuple):
     slope_per_kpa: float
     intercept: float
     r_squared: float
-    residuals: tuple[tuple[float, float], ...]
     reference_deltas: tuple[float, float] | None = None
 
     def as_model(self) -> LinearLoss:
@@ -254,8 +249,7 @@ def fit_linear_loss(
         sxy = math.fsum((x - mx) * (y - my) for x, y in pts)
         slope = sxy / sxx
         intercept = my - slope * mx
-        residuals = tuple((x, y - (slope * x + intercept)) for x, y in pts)
-        ss_res = math.fsum(r * r for _, r in residuals)
+        ss_res = math.fsum(r * r for r in (y - (slope * x + intercept) for x, y in pts))
         ss_tot = math.fsum((y - my) ** 2 for y in ys)
         r_squared = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else 1.0 - ss_res / ss_tot
     except OverflowError:
@@ -264,7 +258,7 @@ def fit_linear_loss(
     deltas = None
     if reference is not None:
         deltas = (slope - reference.slope_per_kpa, intercept - reference.intercept)
-    return FitReport((lo, hi), slope, intercept, max(0.0, min(1.0, r_squared)), residuals, deltas)
+    return FitReport((lo, hi), slope, intercept, max(0.0, min(1.0, r_squared)), deltas)
 
 
 # --- comparison report ----------------------------------------------------

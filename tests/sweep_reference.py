@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from shellact.geometry import ideal_force
-from shellact.rig import _config_digest, true_loss
+from shellact.rig import CONDITIONING_CYCLES, _config_digest, true_loss
 from shellact.sweep import MEASUREMENT_HEADER, SweepDataset
 
 
@@ -81,7 +81,7 @@ def generate_records(cfg):
     provenance = [
         f"seed: {cfg.seed}",
         f"config: {_config_digest(cfg)}",
-        f"conditioning_cycles: {cfg.conditioning_cycles}",
+        f"conditioning_cycles: {CONDITIONING_CYCLES}",
     ]
     return records, provenance
 

@@ -73,6 +73,13 @@ class TestLayout:
         with pytest.raises(ValueError, match=r"^each \(site, side\) slot must hold exactly one"):
             BraceLayout(dup)
 
+    @pytest.mark.parametrize("arm", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lever_arm_rejected_naming_it(self, arm):
+        a = default_layout().actuators[0]
+        with pytest.raises(ValueError, match=f"^lever_arm_m of 'thigh_medial' must be finite, "
+                                             f"got {arm!r}$"):
+            dataclasses.replace(a, lever_arm_m=arm)
+
 
 class TestCorrectiveMoment:
     def test_three_force_valgus_example(self):

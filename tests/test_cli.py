@@ -43,6 +43,37 @@ def run(args):
     return main(args)
 
 
+def subcommand_options():
+    """Each subcommand's argparse actions that take an option string, -h/--help left out."""
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return {name: [a for a in parser._actions if a.option_strings and a.dest != "help"]
+            for name, parser in subparsers.choices.items()}
+
+
+class TestParser:
+    def test_option_strings_are_pinned(self):
+        # a flag added or removed shows up here as a reviewed diff
+        options = {name: [s for a in actions for s in a.option_strings]
+                   for name, actions in subcommand_options().items()}
+        assert options == {
+            "geometry": ["--radius", "--aspect", "--out"],
+            "predict": ["--spec", "--pressures", "--out"],
+            "generate": ["--seed", "--trials", "--noise-sigma", "--out"],
+            "fit": ["--input", "--shapes", "--window", "--trials", "--out"],
+            "simulate": ["--layout", "--schedule", "--duration", "--dt", "--tau", "--cycles",
+                         "--out"],
+        }
+
+    @pytest.mark.parametrize("argv", [["fit", "--input", "x.csv", "--format", "csv"],
+                                      ["simulate", "--format", "svg"]])
+    def test_format_is_not_an_option(self, tmp_path, capsys, argv):
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "--format" in err.splitlines()[0]
+        assert not (tmp_path / "out").exists()
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -97,6 +128,15 @@ class TestPredict:
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert float(row[2]) >= 100.0
         assert float(row[3]) == pytest.approx(0.03, abs=0.001)
+
+    def test_force_past_the_float_range_exits_2_naming_pressure_and_area(self, tmp_path, capsys):
+        spec_file = tmp_path / "spec.yaml"
+        spec_file.write_text("cross_section: {kind: square, side_mm: 1.0e154}\n"
+                             f"loss_model: {LINEAR_LOSS}\n")
+        assert run(["predict", "--spec", str(spec_file), "--pressures", "30"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: P*A overflows the float range: pressure 30.0 kPa, area 1e+308 mm^2\n"
+        )
 
     def test_zero_pressure_row(self, capsys):
         assert run(["predict", "--pressures", "0"]) == 0
@@ -164,7 +204,16 @@ class TestGenerateAndFit:
 
 LINEAR_LOSS = "{form: linear, slope_per_kpa: -0.005, intercept: 0.522, valid_range_kpa: [30, 60]}"
 
-# config files that once ended in a traceback: (flag, file text, part of the message)
+
+def layout_text(**first_entry):
+    """The default layout as YAML, its first actuator entry (thigh_medial) updated."""
+    layout = layout_to_dict(default_layout())
+    layout["actuators"][0].update(first_entry)
+    return yaml.safe_dump(layout)
+
+
+# config files that once ended in a traceback or passed silently:
+# (flag, file text, part of the message)
 BAD_CONFIGS = {
     "phase_not_a_mapping": ("--schedule", "phases: [5]\n", "phase entry must be a mapping"),
     "pressures_a_list": (
@@ -196,6 +245,34 @@ BAD_CONFIGS = {
         "phases:\n- {name: a, fraction: 0.5, pressures: {knee_medial: .nan}}\n"
         "- {name: b, fraction: 0.5}\n",
         "phase 'a' commands nan kPa on 'knee_medial'",
+    ),
+    # used to write nan in every moment_nm cell of the trace
+    "nan_lever_arm": (
+        "--layout",
+        layout_text(lever_arm_m=math.nan),
+        "lever_arm_m of 'thigh_medial' must be finite, got nan",
+    ),
+    # a misspelt key used to be ignored, its value silently left at the default
+    "spec_unknown_key": (
+        "--spec",
+        "cross_section: {kind: circle, radius_mm: 25}\n"
+        f"loss_model: {LINEAR_LOSS}\nmax_presure_kpa: 40\n",
+        "actuator spec has unknown key 'max_presure_kpa'",
+    ),
+    "shapes_unknown_key": (
+        "--shapes",
+        "shapes: {circle: {kind: circle, radius_mm: 25, side_mm: 30}}\n",
+        "cross-section has unknown key 'side_mm'",
+    ),
+    "layout_unknown_key": (
+        "--layout",
+        layout_text(lever_arm_mm=200.0),
+        "actuator entry has unknown key 'lever_arm_mm'",
+    ),
+    "schedule_unknown_key": (
+        "--schedule",
+        "phases:\n- {name: a, fraction: 1.0, pressure: {knee_medial: 30}}\n",
+        "phase entry has unknown key 'pressure'",
     ),
 }
 
@@ -508,10 +585,7 @@ def argvs(draw, files):
     Required options are given, then up to four more. Rarely the subcommand is free
     text, a required option is left out or an option comes from another subcommand.
     """
-    subparsers = next(a for a in build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    options = {name: [a for a in parser._actions if a.option_strings and a.dest != "help"]
-               for name, parser in subparsers.choices.items()}
+    options = subcommand_options()
     every = [a for actions in options.values() for a in actions]
     command = draw(FREE_TEXT) if rarely(draw) else draw(st.sampled_from(sorted(options)))
     own = options.get(command, every)
@@ -537,6 +611,9 @@ def argv_dir(tmp_path_factory):
         (files / "in" / f"{flag[2:]}.yaml").write_text(yaml.safe_dump(valid_config(flag)))
     return files
 
+
+PARSER_NAMES = [*subcommand_options(), *(s for actions in subcommand_options().values()
+                                         for a in actions for s in a.option_strings)]
 
 FUZZ = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -591,10 +668,14 @@ class TestFuzz:
     @given(data=st.data())
     def test_random_argv(self, argv_dir, capsys, data):
         capsys.readouterr()  # the fixture spans examples: drop what earlier ones printed
-        code = main(data.draw(argvs(argv_dir)))
+        argv = data.draw(argvs(argv_dir))
+        code = main(argv)
         first_line = (capsys.readouterr().err.splitlines() or [""])[0]
         if code == 1:
+            # it names a subcommand or an option string, or echoes a token of argv
             assert first_line.startswith("usage error:")
+            names = [*PARSER_NAMES, *filter(None, argv)]
+            assert any(name in first_line for name in names), first_line
         elif code == 2:
             assert first_line.startswith(("error:", "protocol violation:"))
         else:

@@ -125,6 +125,21 @@ class TestIdealForce:
         with pytest.raises(ValueError):
             ideal_force(-1.0, Circle(25.0))
 
+    def test_force_past_the_float_range_is_refused_naming_pressure_and_area(self):
+        # 30 * 1e308 overflows; 0 kPa on an infinite area would give NaN
+        for pressures, cs, p, a in [(30.0, Square(1e154), "30.0", "1e+308"),
+                                    (0.0, Rectangle(1e200, 1e200), "0.0", "inf")]:
+            message = f"P*A overflows the float range: pressure {p} kPa, area {a} mm^2"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ideal_force(pressures, cs)
+
+    def test_array_past_the_float_range_is_refused_without_a_warning(self):
+        message = "P*A overflows the float range: pressure 30.0 kPa, area 1e+308 mm^2"
+        with np.errstate(all="raise"), pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ideal_force(np.array([1.0, 30.0, 2.0]), Square(1e154))
+        assert ideal_force(np.array([1.0, 2.0]), Square(1e152)).tolist() == [1e301, 2e301]
+        assert ideal_force(np.array([]), Square(1e154)).size == 0
+
     @given(
         p=st.floats(min_value=0.0, max_value=60.0),
         alpha=st.floats(min_value=0.0, max_value=1.0),
