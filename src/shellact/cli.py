@@ -57,14 +57,12 @@ def _shape_label(cs: geometry.CrossSection) -> str:
     return f"{kind}({dims})"
 
 
-def _write(path: str, content: str) -> None:
+def _write(out_dir: str, name: str, content: str) -> str:
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(content)
-
-
-def _out_path(out_dir: str, name: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, name)
+    return path
 
 
 # --- subcommands -----------------------------------------------------------
@@ -78,7 +76,7 @@ def cmd_geometry(args: argparse.Namespace) -> int:
     table = "\n".join(lines) + "\n"
     print(table, end="")
     if args.out:
-        _write(_out_path(args.out, "geometry.csv"), table)
+        _write(args.out, "geometry.csv", table)
     return EXIT_OK
 
 
@@ -95,13 +93,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
     lines = ["pressure_kpa,ideal_force_n,predicted_force_n,loss_fraction,extrapolated"]
     for p in pressures:
         ideal = geometry.ideal_force(p, spec.cross_section, safety_cap_kpa=spec.max_pressure_kpa)
-        lv = loss.loss_fraction(p, spec.loss_model)
-        force = loss.predicted_force(p, spec)
+        lv = loss.loss_fraction(p, spec.loss_model)  # the clamped loss that predicted_force takes
+        force = ideal * (1.0 - lv.fraction)
         lines.append(f"{_fmt(p)},{_fmt(ideal)},{_fmt(force)},{_fmt(lv.fraction)},{int(lv.extrapolated)}")
     table = "\n".join(lines) + "\n"
     print(table, end="")
     if args.out:
-        _write(_out_path(args.out, "predict.csv"), table)
+        _write(args.out, "predict.csv", table)
     return EXIT_OK
 
 
@@ -113,27 +111,20 @@ def _balloon_family() -> dict[str, geometry.CrossSection]:
 def cmd_generate(args: argparse.Namespace) -> int:
     protocol = sweep.SweepProtocol(trials=args.trials)
     ground_truth = {name: loss.balloon_spec(cs) for name, cs in _balloon_family().items()}
-    sigma = (
-        args.noise_sigma
-        if args.noise_sigma is not None
-        else rig.default_noise_sigma_n(ground_truth, protocol)
-    )
-    cfg = rig.RigConfig(
-        ground_truth=ground_truth,
-        protocol=protocol,
-        noise_sigma_n=sigma,
-        seed=args.seed,
-    )
-    csv_text = rig.generate_sweep_csv(cfg)
-    out = _out_path(args.out, "measurements.csv")
-    _write(out, csv_text)
-    print(f"wrote {out}")
+    sigma = args.noise_sigma
+    if sigma is None:
+        sigma = rig.default_noise_sigma_n(ground_truth, protocol)
+    cfg = rig.RigConfig(ground_truth, protocol, noise_sigma_n=sigma, seed=args.seed)
+    print(f"wrote {_write(args.out, 'measurements.csv', rig.generate_sweep_csv(cfg))}")
     return EXIT_OK
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    with open(args.input, encoding="utf-8") as fh:
-        ds = sweep.read_measurements_csv(fh.read())
+    try:
+        with open(args.input, "rb") as fh:
+            ds = sweep.read_measurements_csv(fh)
+    except ValueError as exc:  # also bad UTF-8; OSError names the file itself
+        raise ValueError(f"{args.input}: {exc}") from None
     shapes = configio.load_shapes(args.shapes) if args.shapes else _balloon_family()
     table = ds.aggregates()
     violations = sweep.validate_sweep(table, sweep.SweepProtocol(trials=args.trials))
@@ -152,17 +143,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
         )
     fit_csv = "\n".join(fit_lines) + "\n"
     print(fit_csv, end="")
-    _write(_out_path(args.out, "fit_report.csv"), fit_csv)
+    _write(args.out, "fit_report.csv", fit_csv)
     # comparison table against one fit pooled over all shapes
     pooled = sweep.fit_linear_loss([pt for s in series.values() for pt in s], window)
     report = sweep.comparison_report(table, shapes, pooled.as_model())
-    _write(_out_path(args.out, "comparison.csv"), report)
-    _write(
-        _out_path(args.out, "loss_vs_pressure.svg"),
-        line_chart_svg(
-            series, "Force loss vs supply pressure", "pressure (kPa)", "loss fraction"
-        ),
-    )
+    _write(args.out, "comparison.csv", report)
+    _write(args.out, "loss_vs_pressure.svg", line_chart_svg(
+        series, "Force loss vs supply pressure", "pressure (kPa)", "loss fraction"))
     return EXIT_OK
 
 
@@ -178,17 +165,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     trace = brace.run_gait_cycle(
         layout, schedule, args.duration, args.dt, tau_s=args.tau, n_cycles=args.cycles
     )
-    _write(_out_path(args.out, "trace.csv"), brace.write_trace_csv(trace))
+    _write(args.out, "trace.csv", brace.write_trace_csv(trace))
     force_series = {
         aid: np.column_stack((trace.t_s, trace.force_n[:, j]))
         for j, aid in enumerate(trace.actuator_ids)
     }
-    _write(
-        _out_path(args.out, "trace.svg"),
-        line_chart_svg(
-            force_series, "Actuator forces over the gait cycle", "time (s)", "force (N)"
-        ),
-    )
+    _write(args.out, "trace.svg", line_chart_svg(
+        force_series, "Actuator forces over the gait cycle", "time (s)", "force (N)"))
     if len(trace.t_s):
         print(f"steps: {len(trace.t_s)}")
         print(f"final moment_nm: {_fmt(trace.moment_nm[-1])}")

@@ -114,12 +114,13 @@ CROSS_SECTIONS = {
 
 
 _AREA = {
-    Circle: lambda c: math.pi * c.radius_mm**2,
-    EquilateralTriangle: lambda t: math.sqrt(3.0) / 4.0 * t.side_mm**2,
-    Square: lambda s: s.side_mm**2,
+    Circle: lambda c: math.pi * (c.radius_mm * c.radius_mm),
+    EquilateralTriangle: lambda t: math.sqrt(3.0) / 4.0 * (t.side_mm * t.side_mm),
+    Square: lambda s: s.side_mm * s.side_mm,
     Rectangle: lambda r: r.width_mm * r.height_mm,
     # full rectangle minus the four corner cutouts (square minus quarter circle)
-    RoundedRectangle: lambda r: r.width_mm * r.height_mm - (4.0 - math.pi) * r.corner_radius_mm**2,
+    RoundedRectangle: lambda r: (r.width_mm * r.height_mm
+                                 - (4.0 - math.pi) * (r.corner_radius_mm * r.corner_radius_mm)),
 }
 
 

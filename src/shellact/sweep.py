@@ -2,22 +2,24 @@
 
 A sweep dataset holds repeated force measurements per (shape, pressure)
 step as columns: one array per field over all rows, with shape ids stored
-once and referenced by an integer code per row. Aggregation groups the
-rows with one sort into a columnar step table; validation against the
-sweep protocol, the loss series and the comparison CSV all take that one
-table. Ordinary least-squares fitting of the linear loss model and the
-measurement CSV reader and writer also live here.
+once and referenced by an integer code per row. Aggregation takes rows
+already in step order as they are and sorts any others into a columnar
+step table; validation, the loss series and the comparison CSV all take
+that one table. The measurement CSV reader parses a binary stream with
+np.loadtxt 4,096 rows at a time, coding each run of equal shape ids once;
+the writer and least-squares fitting of the linear loss also live here.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
 import warnings
 from dataclasses import dataclass
 from itertools import islice
-from typing import NamedTuple
+from typing import BinaryIO, NamedTuple
 
 from ._lazy import np
 from .geometry import DEFAULT_SAFETY_CAP_KPA, CrossSection, ideal_force, reject
@@ -110,12 +112,17 @@ class SweepDataset:
     def aggregates(self) -> StepTable:
         """Per (shape_id, pressure) mean of the trial forces, in step order.
 
-        One lexsort groups the rows, shape ids ranked in Python string order.
+        Rows are in step order when their (shape id, pressure, trial) keys never fall,
+        shape ids ranked in Python string order; other rows are put in it by one lexsort.
         Each mean is a math.fsum, so the result is independent of row order.
         """
         names = self.shape_names
         rank = np.argsort(sorted(range(len(names)), key=names.__getitem__))  # each code's place
-        order = np.lexsort((self.trial, self.pressure_kpa, rank[self.shape_code]))
+        keys = (self.trial, self.pressure_kpa, rank[self.shape_code])  # as lexsort takes them
+        in_order = True  # per neighbouring pair: the most significant key that differs decides
+        for k in keys:
+            in_order = (k[1:] > k[:-1]) | (k[1:] == k[:-1]) & in_order
+        order = slice(None) if np.all(in_order) else np.lexsort(keys)
         code, p, t, f = (
             c[order] for c in (self.shape_code, self.pressure_kpa, self.trial, self.force_n)
         )
@@ -297,14 +304,16 @@ def write_measurements_csv(ds: SweepDataset) -> str:
 
 
 def _utf8(latin1: str) -> str:
-    """The text whose UTF-8 bytes are the characters of ``latin1``."""
-    return latin1.encode("latin-1").decode("utf-8", "surrogatepass")
+    """The text whose UTF-8 bytes are the characters of ``latin1``; bad UTF-8 raises ValueError."""
+    return latin1.encode("latin-1").decode("utf-8")
 
 
-def _row_error(text: str, head: int, exc: Exception) -> ValueError:
-    """The first row after the ``head`` lines of ``text`` that np.loadtxt refuses, by its line."""
-    reader = csv.reader(islice(io.StringIO(text, newline=""), head, None))
-    limit = csv.field_size_limit(len(text))  # loadtxt reads a field of any length
+def _row_error(binary: BinaryIO, head: int, exc: Exception) -> ValueError:
+    """The first row after the ``head`` lines of ``binary`` that the reader refuses, by its line."""
+    limit = csv.field_size_limit(binary.seek(0, io.SEEK_END))  # loadtxt reads a field of any length
+    binary.seek(0)
+    lines = io.TextIOWrapper(binary, encoding="latin-1", newline="")
+    reader = csv.reader(map(_utf8, islice(lines, head, None)))
     try:
         for row in filter(None, reader):
             if len(row) != len(MEASUREMENT_HEADER):
@@ -314,46 +323,58 @@ def _row_error(text: str, head: int, exc: Exception) -> ValueError:
                 if "_" in field or not field.isascii():
                     raise ValueError(f"could not convert string to {kind.__name__}: {field!r}")
                 kind(field.strip())  # np.int64 parses as int() does, within the int64 range
-    except (ValueError, OverflowError, csv.Error) as bad:
-        return ValueError(f"measurement CSV line {head + reader.line_num}: {bad}")
+    except (ValueError, OverflowError, csv.Error) as bad:  # bad UTF-8 is in the line not yet read
+        line = head + reader.line_num + isinstance(bad, UnicodeDecodeError)
+        return ValueError(f"measurement CSV line {line}: {bad}")
     finally:
         csv.field_size_limit(limit)  # the limit is process-wide
+        lines.detach()  # leave the caller's stream open
     return ValueError(f"bad measurement CSV: {exc}")
 
 
-def read_measurements_csv(text: str) -> SweepDataset:
-    """Parse a measurement CSV, a chunk of rows at a time, into a checked dataset.
+def read_measurements_csv(binary: BinaryIO) -> SweepDataset:
+    """Parse a UTF-8 measurement CSV from a binary stream, from its start, a chunk at a time.
 
     Lines end at LF, CR or CR LF. '#' and blank lines before the header are provenance;
     after it, each non-empty line is a row, and a malformed row raises ValueError naming its line.
     """
-    # loadtxt reads the UTF-8 bytes as Latin-1: its int64 parser takes characters above
-    # U+00FF for digits, and a StringIO would copy the text at four bytes a character
-    stream = io.TextIOWrapper(io.BytesIO(text.encode("utf-8", "surrogatepass")),
-                              encoding="latin-1", newline="")
-    provenance = []
-    for head, line in enumerate(map(_utf8, stream), 1):  # head counts the header too
-        if line[0] == "#":
-            provenance.append(line.lstrip("# ").rstrip())
-        elif line.strip():
-            break
-    else:
-        raise ValueError("empty measurement CSV")
-    header = next(csv.reader([line]))
-    if header != MEASUREMENT_HEADER:
-        raise ValueError(f"bad measurement header {header!r}, expected {MEASUREMENT_HEADER!r}")
-    codes: dict[str, int] = {}  # each shape id numbered as first seen
-    parts: list[tuple[np.ndarray, ...]] = []
+    if not binary.seekable():  # a pipe, say: a refused row is looked for again from the start
+        binary = io.BytesIO(binary.read())
+    binary.seek(0)  # Latin-1: loadtxt's int64 parser takes characters above U+00FF for digits
+    stream = io.TextIOWrapper(binary, encoding="latin-1", newline="")
     try:
-        with warnings.catch_warnings():  # loadtxt warns of blank lines and of an empty body
-            warnings.simplefilter("ignore", UserWarning)
-            while not parts or len(parts[-1][0]) == _CHUNK_ROWS:
-                rows = np.loadtxt(stream, dtype="O,f8,i8,f8", delimiter=",", quotechar='"',
-                                  comments=None, ndmin=1, max_rows=_CHUNK_ROWS)
-                code = [codes.setdefault(name, len(codes)) for name in rows["f0"].tolist()]
-                parts.append((np.array(code, np.intp),
-                              *(rows[f].copy() for f in ("f1", "f2", "f3"))))
-    except ValueError as exc:
-        raise _row_error(text, head, exc) from None
+        provenance = []
+        for head, line in enumerate(map(_utf8, stream), 1):  # head counts the header too
+            if line[0] == "#":
+                provenance.append(line.lstrip("# ").rstrip())
+            elif line.strip():
+                break
+        else:
+            raise ValueError("empty measurement CSV")
+        header = next(csv.reader([line]))
+        if header != MEASUREMENT_HEADER:
+            raise ValueError(f"bad measurement header {header!r}, expected {MEASUREMENT_HEADER!r}")
+        codes: dict[str, int] = {}  # each shape id numbered as first seen
+        parts: list[tuple[np.ndarray, ...]] = []
+        try:
+            with warnings.catch_warnings():  # loadtxt warns of blank lines and of an empty body
+                warnings.simplefilter("ignore", UserWarning)
+                while not parts or len(parts[-1][0]) == _CHUNK_ROWS:
+                    rows = np.loadtxt(stream, dtype="O,f8,i8,f8", delimiter=",", quotechar='"',
+                                      comments=None, ndmin=1, max_rows=_CHUNK_ROWS)
+                    names = rows["f0"]
+                    new_run = np.ones(len(names), bool)  # the first row of each run of one id
+                    new_run[1:] = names[1:] != names[:-1]
+                    runs = np.flatnonzero(new_run)
+                    code = [codes.setdefault(name, len(codes)) for name in names[runs].tolist()]
+                    parts.append((np.array(code, np.intp).repeat(np.diff(runs, append=len(names))),
+                                  *(rows[f].copy() for f in ("f1", "f2", "f3"))))
+            binary.seek(0)  # loadtxt takes a lone byte \x85 or \xa0 beside a number for a space
+            for _ in codecs.iterdecode(iter(lambda: binary.read(1 << 16), b""), "utf-8"):
+                pass
+        except ValueError as exc:
+            raise _row_error(binary, head, exc) from None
+    finally:
+        stream.detach()  # leave the caller's stream open
     return SweepDataset(tuple(map(_utf8, codes)), *map(np.concatenate, zip(*parts)),
                         tuple(provenance))

@@ -138,6 +138,17 @@ class TestPredict:
             "", "error: P*A overflows the float range: pressure 30.0 kPa, area 1e+308 mm^2\n"
         )
 
+    @pytest.mark.parametrize("kind", ["circle, radius_mm", "equilateral_triangle, side_mm",
+                                      "square, side_mm"])
+    def test_area_past_the_float_range_exits_2_naming_it(self, tmp_path, capsys, kind):
+        spec_file = tmp_path / "spec.yaml"
+        spec_file.write_text(f"cross_section: {{kind: {kind}: 1.0e155}}\n"
+                             f"loss_model: {LINEAR_LOSS}\n")
+        assert run(["predict", "--spec", str(spec_file), "--pressures", "30"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: P*A overflows the float range: pressure 30.0 kPa, area inf mm^2\n"
+        )
+
     def test_zero_pressure_row(self, capsys):
         assert run(["predict", "--pressures", "0"]) == 0
         row = capsys.readouterr().out.splitlines()[1].split(",")
@@ -446,8 +457,32 @@ class TestErrorContract:
         lines[11] = lines[11].rsplit(",", 1)[0] + ",4x5\n"
         argv = ["fit", "--input", "/dev/stdin", "--out", str(tmp_path / "out")]
         code, err = run_limited(argv, stdin="".join(lines))
-        assert (code, err) == (2, "error: measurement CSV line 12: "
+        assert (code, err) == (2, "error: /dev/stdin: measurement CSV line 12: "
                                   "could not convert string to float: '4x5'\n")
+
+    def test_data_error_names_the_input_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("shape_id,pressure_kpa,trial,force_n\ncircle,x,1,2.0\n")
+        assert run(["fit", "--input", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: measurement CSV line 2: could not convert string to float: 'x'\n"
+        )
+
+    @pytest.mark.parametrize("old, new", [
+        (b"\ncircle,", b"\n\xffcircle,"),
+        (b"# seed: 3", b"# seed: \xff"),
+        (b"\ncircle,", b"\ncircle\xed\xa0\x80,"),  # an encoded lone surrogate
+        (b"\ncircle,45.0000,", b"\ncircle,45.0000\x85,"),  # loadtxt reads \x85 as a space
+    ], ids=["id", "provenance", "lone-surrogate", "beside-a-number"])
+    def test_input_that_is_not_utf8_exits_2_writing_nothing(self, one_trial_csv, tmp_path,
+                                                           capsys, old, new):
+        text, _ = one_trial_csv
+        (tmp_path / "bad.csv").write_bytes(text.encode().replace(old, new, 1))
+        argv = ["fit", "--trials", "1", "--input", str(tmp_path / "bad.csv"),
+                "--out", str(tmp_path / "out")]
+        assert run(argv) == 2
+        assert "'utf-8' codec can't decode byte" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("args, rows", [
         (["simulate", "--dt", "1e-9", "--cycles", "10"], "a trace of 72000000000 rows"),

@@ -59,6 +59,15 @@ def test_rounded_rectangle_zero_radius_equals_rectangle():
     assert area(RoundedRectangle(60.0, 40.0, 0.0)) == area(Rectangle(60.0, 40.0))
 
 
+@pytest.mark.parametrize("cs", [Circle(1e155), EquilateralTriangle(1e155), Square(1e155),
+                                RoundedRectangle(1e155, 1e155, 1e155 / 2)])
+def test_area_past_the_float_range_reaches_the_named_force_check(cs):
+    # a dimension squared past the float range is inf (or NaN, inf - inf), never OverflowError
+    assert not area(cs) < math.inf
+    with pytest.raises(ValueError, match=r"^P\*A overflows the float range: pressure 30.0 kPa"):
+        ideal_force(30.0, cs)
+
+
 def test_area_of_a_non_cross_section_is_a_type_error():
     with pytest.raises(TypeError, match="not a cross-section: 25.0"):
         area(25.0)

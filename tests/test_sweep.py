@@ -3,6 +3,7 @@ import io
 import math
 import random
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -35,6 +36,11 @@ from sweep_reference import (
     write_records_csv,
 )
 
+def read_text(text):
+    """read_measurements_csv of the UTF-8 bytes of ``text``."""
+    return read_measurements_csv(io.BytesIO(text.encode()))
+
+
 SHAPES = dict(zip(["circle", "triangle", "square", "rectangle"], equal_area_family(25.0, 2.0)))
 
 # points exactly on the fitted loss line over the [30, 60] window
@@ -42,6 +48,7 @@ EXACT_POINTS = [(p, -0.005 * p + 0.522) for p in (30.0, 35.0, 40.0, 45.0, 50.0, 
 
 
 STEP_STATS = ("mean_force_n", "n_trials", "n_distinct_trials")
+COLUMNS = ("shape_code", "pressure_kpa", "trial", "force_n")
 
 
 def table_columns(table):
@@ -113,6 +120,29 @@ class TestAggregation:
         assert table.pressure_kpa.tolist() == [5.0, 10.0, 5.0, 10.0]
         assert table.mean_force_n.tolist() == [4.5, 3.0, 2.0, 1.0]
         assert table.n_distinct_trials.tolist() == [2, 1, 1, 1]
+
+    @pytest.mark.parametrize("ds, sorts", [
+        # first-seen codes (b, a) are not in name order; the rows are
+        (SweepDataset(("b", "a"), np.array([1, 1, 0]), np.array([5.0, 10.0, 5.0]),
+                      np.array([1, 1, 2]), np.array([1.0, 2.0, 3.0])), False),
+        (dataset([("c", 5.0, 3, 1.0), ("c", 5.0, 2, 2.0), ("c", 5.0, 2, 3.0), ("c", 10.0, 1, 4.0)]),
+         True),
+        (dataset([("a", 5.0, 1, 1.0), ("a", 5.0, 1, 1.5), ("a\x00", 5.0, 1, 2.0)]), False),
+        (dataset([("a\x00", 5.0, 1, 1.0), ("a", 5.0, 1, 2.0)]), True),
+        (dataset([("c", 30.0, 1, 2.5)]), False),
+        (dataset([]), False),
+    ], ids=["codes-b-before-a", "descending-trial", "a-then-a-nul", "a-nul-then-a", "one-row",
+            "empty"])
+    def test_rows_in_step_order_skip_the_sort(self, monkeypatch, ds, sorts):
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(keys) or lexsort(keys))
+        table = ds.aggregates()
+        assert bool(calls) == sorts
+        reversed_rows = SweepDataset(ds.shape_names, *(getattr(ds, c)[::-1] for c in COLUMNS))
+        assert table_columns(reversed_rows.aggregates()) == table_columns(table)
+        records = [MeasurementRecord(*row) for row in rows_of(ds)]
+        assert table_columns(table) == reference_columns(aggregate_records(records))
 
     def test_empty_dataset_has_no_aggregates(self):
         table = dataset([]).aggregates()
@@ -390,7 +420,7 @@ class TestCsvRoundTrip:
     def test_measurement_round_trip(self):
         ds = make_clean_dataset()
         text = write_measurements_csv(ds)
-        back = read_measurements_csv(text)
+        back = read_text(text)
         assert sorted(back.shape_names) == sorted(ds.shape_names)
         assert len(back.force_n) == len(ds.force_n)
         # forces survive to 4 decimal places
@@ -401,7 +431,7 @@ class TestCsvRoundTrip:
         ds = dataset([("c", 30.0, 1, 10.0)], ("seed: 42",))
         text = write_measurements_csv(ds)
         assert text.startswith("# seed: 42\n")
-        assert read_measurements_csv(text).provenance == ("seed: 42",)
+        assert read_text(text).provenance == ("seed: 42",)
 
     def test_report_csv_header(self):
         text = comparison_report(make_clean_dataset().aggregates(), SHAPES, BALLOON_LOSS)
@@ -417,14 +447,14 @@ class TestCsvRoundTrip:
     def test_shape_id_round_trip(self, shape_id):
         rows = [("c", 30.0, 1, 10.0), (shape_id, 30.0, 1, 10.0), (shape_id, 35.0, 2, 12.5)]
         ds = dataset(rows, ("seed: 1",))
-        back = read_measurements_csv(write_measurements_csv(ds))
+        back = read_text(write_measurements_csv(ds))
         assert back.shape_names == ds.shape_names
         assert rows_of(back) == rows
         assert back.provenance == ds.provenance
 
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
-            read_measurements_csv("a,b,c\n1,2,3\n")
+            read_text("a,b,c\n1,2,3\n")
 
     @pytest.mark.parametrize(
         "body, message",
@@ -453,7 +483,7 @@ class TestCsvRoundTrip:
         text = "# seed: 1\n\nshape_id,pressure_kpa,trial,force_n\ncircle,30.0,1,2.0\n" + body
         limit = csv.field_size_limit()
         with pytest.raises(ValueError) as info:
-            read_measurements_csv(text)
+            read_text(text)
         assert str(info.value).startswith(f"measurement CSV {message}")
         assert csv.field_size_limit() == limit
 
@@ -462,15 +492,57 @@ class TestCsvRoundTrip:
         rows[9_000] = "c,30.0"
         text = "shape_id,pressure_kpa,trial,force_n\n" + "\n".join(rows) + "\n"
         with pytest.raises(ValueError, match="^measurement CSV line 9002: expected 4 fields"):
-            read_measurements_csv(text)
+            read_text(text)
 
-    def test_lone_surrogate_in_an_id_is_kept(self):
-        ds = read_measurements_csv("# \udc80\nshape_id,pressure_kpa,trial,force_n\na\ud800,30,1,2\n")
-        assert ds.shape_names == ("a\ud800",) and ds.provenance == ("\udc80",)
+    def test_lone_surrogate_in_an_id_is_refused(self):
+        # U+D800 has no UTF-8 form: its three-byte encoding is not UTF-8
+        data = io.BytesIO(b"shape_id,pressure_kpa,trial,force_n\na\xed\xa0\x80,30,1,2\n")
+        with pytest.raises(ValueError, match="^measurement CSV line 2: 'utf-8' codec can't decode"):
+            read_measurements_csv(data)
+
+    @pytest.mark.parametrize("body, line", [
+        ("\xff,30,1,2\n", 2),
+        ('c,30,1,2\n"a\nb\xff",30,1,2\n', 4),
+        # loadtxt takes these lone bytes beside a number for spaces
+        ("c,30\x85,1,2\n", 2),
+        ("c,30,1,2\nc,35,1,\xa02.5\n", 3),
+        ("c,30,1,2\n" + "c,35,1,2.5\r" * 5000 + 'c,40,1,"3\x85"\n', 5003),
+    ], ids=["id", "quoted-id", "pressure", "force", "later-chunk"])
+    def test_body_that_is_not_utf8_refused_naming_its_line(self, body, line):
+        data = io.BytesIO(HEADER.encode() + body.encode("latin-1"))
+        with pytest.raises(ValueError, match=f"^measurement CSV line {line}: 'utf-8' codec can't"):
+            read_measurements_csv(data)
+
+    @pytest.mark.parametrize("data", [b"# seed \xff\n", b"\x85\n", b"shape_id\xff,"])
+    def test_head_that_is_not_utf8_refused(self, data):
+        with pytest.raises(ValueError, match="'utf-8' codec can't decode byte"):
+            read_measurements_csv(io.BytesIO(data + HEADER.encode() + b"c,30,1,2\n"))
+
+    def test_stream_left_open_and_read_from_its_start(self):
+        data = io.BytesIO(HEADER.encode() + b"c,30,1,2\n")
+        data.seek(5)
+        assert rows_of(read_measurements_csv(data)) == rows_of(read_measurements_csv(data))
+        assert not data.closed
+
+    def test_peak_memory_is_the_columns_plus_one_chunk(self):
+        # long ids make the text twice the columns' bytes, so holding it would show
+        read_text(HEADER + "c,30,1,2\n")  # the first call's imports are not the reader's memory
+        text = HEADER + "".join(f"rounded_rectangle_60x40_r8_engineered_{t // 5000},"
+                                f"{30 + t % 7}.0000,{t},{t % 97}.2500\n" for t in range(1, 60_001))
+        data = io.BytesIO(text.encode())
+        tracemalloc.start()
+        try:
+            ds = read_measurements_csv(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = sum(getattr(ds, c).nbytes for c in COLUMNS)
+        # the chunks and their concatenation, and one chunk's rows as Python objects
+        assert peak < 2 * columns + 256 * _CHUNK_ROWS, (peak, columns)
 
     def test_row_values_checked_after_parsing(self):
         with pytest.raises(ValueError, match=r"^pressure_kpa must be > 0, got -1.0$"):
-            read_measurements_csv("shape_id,pressure_kpa,trial,force_n\nc,-1,1,2\n")
+            read_text("shape_id,pressure_kpa,trial,force_n\nc,-1,1,2\n")
 
 
 HEADER = "shape_id,pressure_kpa,trial,force_n\n"
@@ -478,7 +550,7 @@ HEADER = "shape_id,pressure_kpa,trial,force_n\n"
 
 def assert_reads_as_reference(text):
     """The reader's rows and provenance equal the per-record reference's."""
-    back = read_measurements_csv(text)
+    back = read_text(text)
     records, provenance = read_records_csv(text)
     assert rows_of(back) == [(r.shape_id, r.pressure_kpa, r.trial, r.force_n) for r in records]
     assert back.provenance == tuple(provenance)
@@ -489,16 +561,16 @@ class TestChunkEdges:
     """Bodies that meet the reader's chunks of _CHUNK_ROWS rows at their edges; no warning escapes."""
 
     def test_header_only_is_an_empty_sweep(self):
-        ds = read_measurements_csv("# seed: 1\n" + HEADER)
+        ds = read_text("# seed: 1\n" + HEADER)
         assert len(ds.force_n) == 0 and ds.shape_names == ()
         assert [v.kind for v in validate_sweep(ds.aggregates(), SweepProtocol())] == ["empty sweep"]
 
     def test_body_of_blank_lines_is_an_empty_sweep(self):
-        assert len(read_measurements_csv(HEADER + "\n\r\n\r\n").force_n) == 0
+        assert len(read_text(HEADER + "\n\r\n\r\n").force_n) == 0
 
     def test_exactly_two_chunks(self):
         text = HEADER + "".join(f"c{t % 3},30.0,{t},2.5\n" for t in range(1, 2 * _CHUNK_ROWS + 1))
-        assert len(read_measurements_csv(text).force_n) == 2 * _CHUNK_ROWS
+        assert len(read_text(text).force_n) == 2 * _CHUNK_ROWS
         assert_reads_as_reference(text)
 
     def test_blank_lines_scattered_through_the_body(self):
@@ -512,7 +584,7 @@ class TestChunkEdges:
         rows = [("c", 30.0, t, 2.5) for t in range(1, 2 * _CHUNK_ROWS)]
         rows[row] = ("a\nb", 30.0, row + 1, 1.0)
         rows[row + 1] = ("a\nb", 35.0, row + 2, 1.0)
-        assert rows_of(read_measurements_csv(write_measurements_csv(dataset(rows)))) == rows
+        assert rows_of(read_text(write_measurements_csv(dataset(rows)))) == rows
 
 
 # fields that CSV quoting, number syntax and line ends can trip on
@@ -538,7 +610,7 @@ def test_reader_parity_with_reference(rows, last):
             read_records_csv(text)
         except ValueError as exc:
             with pytest.raises(ValueError) as info:
-                read_measurements_csv(text)
+                read_text(text)
             refused = str(exc).split(":")[0]  # "measurement CSV line N" for a refused row
             if refused.startswith("measurement CSV line"):
                 assert str(info.value).startswith(refused + ":")
@@ -562,7 +634,7 @@ def assert_matches_reference(cfg):
     records, provenance = generate_records(cfg)
     text = write_records_csv(records, provenance)
     assert write_measurements_csv(generate_sweep(cfg)) == text
-    back = read_measurements_csv(text)
+    back = read_text(text)
     ref_records, ref_provenance = read_records_csv(text)
     assert back.shape_names == tuple(sorted(cfg.ground_truth))
     assert [r.shape_id for r in ref_records] == [r.shape_id for r in records]
