@@ -36,6 +36,7 @@ from sweep_reference import (
     write_records_csv,
 )
 
+
 def read_text(text):
     """read_measurements_csv of the UTF-8 bytes of ``text``."""
     return read_measurements_csv(io.BytesIO(text.encode()))
@@ -521,7 +522,8 @@ class TestCsvRoundTrip:
     def test_stream_left_open_and_read_from_its_start(self):
         data = io.BytesIO(HEADER.encode() + b"c,30,1,2\n")
         data.seek(5)
-        assert rows_of(read_measurements_csv(data)) == rows_of(read_measurements_csv(data))
+        for _ in range(2):
+            assert rows_of(read_measurements_csv(data)) == [("c", 30.0, 1, 2.0)]
         assert not data.closed
 
     def test_peak_memory_is_the_columns_plus_one_chunk(self):
