@@ -15,7 +15,9 @@ numbers are written with 4 decimal places so repeated runs are
 byte-comparable.
 
 A start loads only the modules its subcommand runs: the package's modules
-are lazy module objects here, loaded on first attribute access.
+are lazy module objects here, loaded on first attribute access. numpy runs
+with one OpenBLAS thread unless the caller sets OPENBLAS_NUM_THREADS: no
+subcommand calls BLAS, and an idle thread pool slows numpy's start.
 """
 
 from __future__ import annotations
@@ -80,20 +82,16 @@ def cmd_geometry(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_pressures(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise _UsageError(f"bad --pressures value: {exc}") from exc
-
-
 def cmd_predict(args: argparse.Namespace) -> int:
     spec = configio.load_actuator_spec(args.spec) if args.spec else loss.balloon_spec()
-    pressures = _parse_pressures(args.pressures)
+    try:
+        pressures = [float(tok) for tok in args.pressures.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise _UsageError(f"bad --pressures value: {exc}") from exc
     lines = ["pressure_kpa,ideal_force_n,predicted_force_n,loss_fraction,extrapolated"]
     for p in pressures:
         ideal = geometry.ideal_force(p, spec.cross_section, safety_cap_kpa=spec.max_pressure_kpa)
-        lv = loss.loss_fraction(p, spec.loss_model)  # the clamped loss that predicted_force takes
+        lv = loss.loss_fraction(p, spec.loss_model)  # the loss that predicted_force takes
         force = ideal * (1.0 - lv.fraction)
         lines.append(f"{_fmt(p)},{_fmt(ideal)},{_fmt(force)},{_fmt(lv.fraction)},{int(lv.extrapolated)}")
     table = "\n".join(lines) + "\n"
@@ -227,6 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read as numpy loads; no subcommand calls BLAS
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

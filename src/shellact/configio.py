@@ -167,6 +167,8 @@ def _load(path: str, from_dict: Callable[[dict[str, Any]], Any]) -> Any:
         return from_dict(data)
     except (yaml.YAMLError, ValueError) as exc:  # also bad UTF-8, a bad date or a bad entry
         raise ValueError(f"{path}: {exc}") from exc
+    except RecursionError:  # PyYAML's composer recurses once per nesting level
+        raise ValueError(f"{path}: nesting too deep") from None
 
 
 def load_actuator_spec(path: str) -> ActuatorSpec:

@@ -25,13 +25,6 @@ def _exp(x):
     return math.exp(x)
 
 
-def _clamped_loss(pressure_kpa, model: LossModel):
-    raw = model.raw(pressure_kpa)
-    if getattr(raw, "ndim", 0):  # NaN clamps to 0.0, as with min/max below
-        return np.where(raw > 0.0, np.where(raw < 1.0, raw, 1.0), 0.0)
-    return min(1.0, max(0.0, raw))
-
-
 def _check_valid_range(range_kpa: tuple[float, float], name: str = "valid_range_kpa") -> None:
     lo, hi = range_kpa
     if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo < hi):
@@ -91,10 +84,14 @@ def loss_fraction(pressure_kpa, model: LossModel) -> LossValue:
     Pressures outside the model's validity range are evaluated anyway but
     flagged as extrapolated.
     """
+    raw = model.raw(pressure_kpa)
+    if getattr(raw, "ndim", 0):  # NaN clamps to 0.0, as with min/max below
+        fraction = np.where(raw > 0.0, np.where(raw < 1.0, raw, 1.0), 0.0)
+    else:
+        fraction = min(1.0, max(0.0, raw))
     lo, hi = model.valid_range_kpa
     inside = (lo <= pressure_kpa) & (pressure_kpa <= hi)
-    # ``^ True`` negates a bool and a bool array alike
-    return LossValue(_clamped_loss(pressure_kpa, model), extrapolated=inside ^ True)
+    return LossValue(fraction, extrapolated=inside ^ True)  # ^ negates a bool and an array alike
 
 
 def efficiency(pressure_kpa, model: LossModel) -> LossValue:
@@ -142,7 +139,7 @@ def predicted_force(pressure_kpa, spec: ActuatorSpec):
     reject(pressure_kpa, pressure_kpa > cap,
            "pressure {} kPa exceeds actuator max {} kPa", cap)
     ideal = ideal_force(pressure_kpa, spec.cross_section, safety_cap_kpa=cap)
-    return ideal * (1.0 - _clamped_loss(pressure_kpa, spec.loss_model))
+    return ideal * (1.0 - loss_fraction(pressure_kpa, spec.loss_model).fraction)
 
 
 def loss_from_measurement(

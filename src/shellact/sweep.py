@@ -343,7 +343,7 @@ def read_measurements_csv(binary: BinaryIO) -> SweepDataset:
     binary.seek(0)  # Latin-1: loadtxt's int64 parser takes characters above U+00FF for digits
     stream = io.TextIOWrapper(binary, encoding="latin-1", newline="")
     try:
-        provenance = []
+        provenance, head = [], 0
         for head, line in enumerate(map(_utf8, stream), 1):  # head counts the header too
             if line[0] == "#":
                 provenance.append(line.lstrip("# ").rstrip())
@@ -374,6 +374,8 @@ def read_measurements_csv(binary: BinaryIO) -> SweepDataset:
                 pass
         except ValueError as exc:
             raise _row_error(binary, head, exc) from None
+    except UnicodeDecodeError as exc:  # before the body: the body's are row errors above
+        raise ValueError(f"measurement CSV line {head + 1}: {exc}") from None
     finally:
         stream.detach()  # leave the caller's stream open
     return SweepDataset(tuple(map(_utf8, codes)), *map(np.concatenate, zip(*parts)),

@@ -285,6 +285,8 @@ BAD_CONFIGS = {
         "phases:\n- {name: a, fraction: 1.0, pressure: {knee_medial: 30}}\n",
         "phase entry has unknown key 'pressure'",
     ),
+    # PyYAML's composer recurses once per level, so this used to end in a RecursionError
+    "deep_nesting": ("--schedule", "phases: " + "[" * 1000 + "]" * 1000 + "\n", "nesting too deep"),
 }
 
 

@@ -46,11 +46,13 @@ PRINT_EXECUTED = (
 START = {"shellact", "shellact._lazy", "shellact.cli", "shellact.svgchart"}
 
 
-def fresh_run(*argv, code="print(main(sys.argv[1:]))", head="from shellact.cli import main"):
+def fresh_run(*argv, code="print(main(sys.argv[1:]))", head="from shellact.cli import main",
+              env=os.environ):
     """Last output line and ``sys.modules`` names of a new interpreter.
 
     It runs ``head``, by default importing ``shellact.cli.main``, then
-    ``code``, by default ``shellact argv`` printing its exit code.
+    ``code``, by default ``shellact argv`` printing its exit code, in
+    ``env`` with this package's source on the path.
     """
     probe = f"import sys\n{head}\n{code}\nprint(*sorted(sys.modules))\n"
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
@@ -58,7 +60,7 @@ def fresh_run(*argv, code="print(main(sys.argv[1:]))", head="from shellact.cli i
         [sys.executable, "-c", probe, *map(str, argv)],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**env, "PYTHONPATH": path},
         check=True,
     )
     *_, last, modules = proc.stdout.splitlines()
@@ -112,6 +114,27 @@ def test_lazily_loaded_numpy_writes_the_same_bytes(tmp_path):
     assert main(["generate", "--trials", "2", "--seed", "5", "--out", str(tmp_path / "b")]) == 0
     fresh = (tmp_path / "a" / "measurements.csv").read_bytes()
     assert fresh == (tmp_path / "b" / "measurements.csv").read_bytes()
+
+
+# The OpenBLAS setting and the process's thread count once numpy has loaded.
+PRINT_BLAS = (
+    "import os\n"
+    "assert main(sys.argv[1:]) == 0\n"
+    "threads = next(line for line in open('/proc/self/status') if line.startswith('Threads:'))\n"
+    "print(os.environ.get('OPENBLAS_NUM_THREADS'), threads.split()[1])"
+)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_numpy_starts_one_blas_thread_unless_the_caller_sets_it(tmp_path):
+    argv = ["generate", "--trials", "1", "--out", tmp_path]
+    # a main() call in this process sets the variable, so the child starts without it
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    last, modules = fresh_run(*argv, code=PRINT_BLAS, env=env)
+    assert "numpy._core" in modules
+    assert last.split() == ["1", "1"]
+    last, _ = fresh_run(*argv, code=PRINT_BLAS, env={**env, "OPENBLAS_NUM_THREADS": "2"})
+    assert last.split()[0] == "2"
 
 
 def test_import_loads_every_layer_but_not_numpy():
