@@ -36,6 +36,7 @@ brace, configio, geometry, loss, rig, sweep = (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
+MAX_MESSAGE = 1000  # characters of an error line before the rest is cut
 
 
 class _UsageError(Exception):
@@ -113,7 +114,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if sigma is None:
         sigma = rig.default_noise_sigma_n(ground_truth, protocol)
     cfg = rig.RigConfig(ground_truth, protocol, noise_sigma_n=sigma, seed=args.seed)
-    print(f"wrote {_write(args.out, 'measurements.csv', rig.generate_sweep_csv(cfg))}")
+    text = rig.write_measurements_csv(rig.generate_sweep(cfg))  # rig's name, which bench/run.py wraps
+    print(f"wrote {_write(args.out, 'measurements.csv', text)}")
     return EXIT_OK
 
 
@@ -231,11 +233,13 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, message = EXIT_USAGE, f"usage error: {exc}"
     except (OSError, ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        code, message = EXIT_DATA, f"error: {exc}"
+    if len(message) > MAX_MESSAGE:  # a refused value is echoed whole; the head names its source
+        message = f"{message[:MAX_MESSAGE]}... [{len(message) - MAX_MESSAGE} characters cut]"
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

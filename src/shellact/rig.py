@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from ._lazy import np
 from .geometry import MAX_ROWS, ideal_force, reject
 from .loss import ActuatorSpec, loss_fraction
-from .sweep import SweepDataset, SweepProtocol, write_measurements_csv
+from .sweep import SweepDataset, SweepProtocol, write_measurements_csv  # cli writes by rig's name
 
 #: Conditioning cycles the rig runs before a sweep, recorded in the CSV provenance.
 CONDITIONING_CYCLES = 10
@@ -42,6 +42,7 @@ class RigConfig:
             raise ValueError("ground_truth must name at least one actuator")
         if not 0.0 <= self.noise_sigma_n < math.inf:
             raise ValueError(f"noise_sigma_n must be finite and >= 0, got {self.noise_sigma_n!r}")
+        object.__setattr__(self, "noise_sigma_n", abs(self.noise_sigma_n))  # -0.0 is zero noise
         if not 0.0 <= self.pre_knee_start_loss <= 1.0:
             raise ValueError("pre_knee_start_loss must be in [0, 1]")
         if self.seed < 0:
@@ -128,7 +129,3 @@ def generate_sweep(cfg: RigConfig) -> SweepDataset:
         force.ravel(),
         tuple(provenance),
     )
-
-
-def generate_sweep_csv(cfg: RigConfig) -> str:
-    return write_measurements_csv(generate_sweep(cfg))

@@ -112,9 +112,14 @@ def join_rows(fields: list[np.ndarray], sep: str = ",", end: str = "\n") -> str:
     return cells[cells >= _KEEP].astype(np.uint8).tobytes().decode()
 
 
+_XML_TEXT = {ord("&"): "&amp;", ord("<"): "&lt;", ord(">"): "&gt;", **{
+    c: repr(chr(c))[1:-1] for c in [*range(9), 11, 12, *range(14, 32), 0xFFFE, 0xFFFF]}}
+
+
 def _escape(text: str) -> str:
-    """XML-escape text as xml.sax.saxutils.escape does, without importing urllib."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """XML text: ``& < >`` escaped as xml.sax.saxutils.escape does, without importing urllib,
+    and each character XML 1.0 forbids even as a reference written as its repr, e.g. ``\\x0b``."""
+    return text.translate(_XML_TEXT)
 
 
 def line_chart_svg(series: dict, title: str, x_label: str, y_label: str) -> str:

@@ -17,8 +17,8 @@ from shellact.loss import (
     loss_fraction,
     predicted_force,
 )
-from shellact.rig import RigConfig, default_noise_sigma_n, generate_sweep, generate_sweep_csv
-from shellact.sweep import SweepProtocol, compute_loss_series, fit_linear_loss
+from shellact.rig import RigConfig, default_noise_sigma_n, generate_sweep
+from shellact.sweep import SweepProtocol, compute_loss_series, fit_linear_loss, write_measurements_csv
 
 SHAPE_IDS = ["circle", "triangle", "square", "rectangle"]
 SHAPES = dict(zip(SHAPE_IDS, equal_area_family(25.0, 2.0)))
@@ -148,7 +148,8 @@ def test_criterion_8_byte_determinism(tmp_path):
     cfg = lambda: RigConfig(
         ground_truth=GROUND_TRUTH, protocol=SweepProtocol(), noise_sigma_n=sigma, seed=99
     )
-    gen_ok = generate_sweep_csv(cfg()) == generate_sweep_csv(cfg())
+    csv_text = lambda: write_measurements_csv(generate_sweep(cfg()))
+    gen_ok = csv_text() == csv_text()
 
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

@@ -363,6 +363,12 @@ class TestErrorContract:
         assert err == f"error: noise_sigma_n must be finite and >= 0, got {float(value)!r}\n"
         assert not out.exists()
 
+    def test_negative_zero_noise_sigma_writes_the_zero_noise_sweep(self, tmp_path):
+        for name, value in [("negative", "-0.0"), ("zero", "0")]:
+            assert run(["generate", "--noise-sigma", value, "--out", str(tmp_path / name)]) == 0
+        written = {(tmp_path / name / "measurements.csv").read_bytes() for name in ["negative", "zero"]}
+        assert len(written) == 1
+
     def test_overflowing_noise_sigma_exits_2_naming_it(self, tmp_path, capsys):
         out = tmp_path / "out"
         for value in ("1e308", "1e300"):  # 1e300 used to write forces of about 300 digits
@@ -469,6 +475,21 @@ class TestErrorContract:
         assert capsys.readouterr().err == (
             f"error: {bad}: measurement CSV line 2: could not convert string to float: 'x'\n"
         )
+
+    @pytest.mark.parametrize("argv, text, head", [
+        (["simulate", "--schedule"], "phases: [[" + "0, " * 100_000 + "0]]\n",
+         "phase entry must be a mapping, got [0, 0, 0, "),
+        (["fit", "--input"], f"shape_id,pressure_kpa,trial,force_n\ncircle,{'x' * 200_000},1,2.0\n",
+         "measurement CSV line 2: could not convert string to float: 'xxx"),
+    ], ids=["schedule", "input"])
+    def test_long_refused_value_is_cut_after_the_head(self, tmp_path, capsys, argv, text, head):
+        path = tmp_path / "refused"
+        path.write_text(text)
+        assert run([*argv, str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        cut = re.fullmatch(r"(.{1000})\.\.\. \[(\d+) characters cut\]\n", err, re.S)
+        assert cut and cut[1].startswith(f"error: {path}: {head}")
+        assert int(cut[2]) > 100_000
 
     @pytest.mark.parametrize("old, new", [
         (b"\ncircle,", b"\n\xffcircle,"),

@@ -11,10 +11,9 @@ from shellact.rig import (
     RigConfig,
     default_noise_sigma_n,
     generate_sweep,
-    generate_sweep_csv,
     true_loss,
 )
-from shellact.sweep import SweepProtocol, compute_loss_series, fit_linear_loss
+from shellact.sweep import SweepProtocol, compute_loss_series, fit_linear_loss, write_measurements_csv
 from sweep_reference import generate_records, rows_of
 
 SHAPES = dict(zip(["circle", "triangle", "square", "rectangle"], equal_area_family(25.0, 2.0)))
@@ -29,13 +28,13 @@ def make_cfg(**kw):
 
 class TestDeterminism:
     def test_same_seed_same_bytes(self):
-        a = generate_sweep_csv(make_cfg(noise_sigma_n=0.5, seed=42))
-        b = generate_sweep_csv(make_cfg(noise_sigma_n=0.5, seed=42))
+        a = write_measurements_csv(generate_sweep(make_cfg(noise_sigma_n=0.5, seed=42)))
+        b = write_measurements_csv(generate_sweep(make_cfg(noise_sigma_n=0.5, seed=42)))
         assert a == b
 
     def test_different_seed_different_data(self):
-        a = generate_sweep_csv(make_cfg(noise_sigma_n=0.5, seed=1))
-        b = generate_sweep_csv(make_cfg(noise_sigma_n=0.5, seed=2))
+        a = write_measurements_csv(generate_sweep(make_cfg(noise_sigma_n=0.5, seed=1)))
+        b = write_measurements_csv(generate_sweep(make_cfg(noise_sigma_n=0.5, seed=2)))
         assert a != b
 
 
@@ -142,7 +141,7 @@ class TestProvenance:
             make_cfg(seed=-1)
 
     def test_csv_carries_comment_header(self):
-        text = generate_sweep_csv(make_cfg(seed=5))
+        text = write_measurements_csv(generate_sweep(make_cfg(seed=5)))
         lines = text.splitlines()
         assert lines[0] == "# seed: 5"
         assert any(l.startswith("# config:") for l in lines)
@@ -157,6 +156,11 @@ class TestConfigValidation:
     def test_negative_sigma(self):
         with pytest.raises(ValueError):
             make_cfg(noise_sigma_n=-0.1)
+
+    def test_negative_zero_sigma_is_zero_noise(self):
+        assert math.copysign(1.0, make_cfg(noise_sigma_n=-0.0).noise_sigma_n) == 1.0
+        text = lambda sigma: write_measurements_csv(generate_sweep(make_cfg(noise_sigma_n=sigma)))
+        assert text(-0.0) == text(0.0)
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf])
     def test_sigma_not_finite(self, sigma):

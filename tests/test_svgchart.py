@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 import xml.dom.minidom
+import xml.etree.ElementTree as ET
 from pathlib import Path
 from xml.sax.saxutils import escape
 
@@ -56,6 +57,15 @@ class TestEscaping:
     def test_matches_saxutils(self):
         for text in ("", "plain", "a<b&c", "&amp;", "x>y<z", "'\"quotes\""):
             assert _escape(text) == escape(text)
+
+    # XML 1.0 forbids these even as character references: each is written as its repr
+    @pytest.mark.parametrize("char", [*map(chr, [*range(9), 11, 12, *range(14, 32)]),
+                                      "\ufffe", "\uffff"], ids=lambda c: f"U+{ord(c):04X}")
+    def test_label_with_a_character_xml_forbids_parses(self, char):
+        svg = line_chart_svg({f"a{char}b": [(0.0, 1.0)]}, f"t{char}", "x", f"y{char}")
+        shown = repr(char)[1:-1]
+        labels = {t.text for t in ET.fromstring(svg.encode()).iter("{http://www.w3.org/2000/svg}text")}
+        assert {f"a{shown}b", f"t{shown}", f"y{shown}"} <= labels
 
 
 class TestSeriesInput:
