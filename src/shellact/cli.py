@@ -60,6 +60,11 @@ def _shape_label(cs: geometry.CrossSection) -> str:
     return f"{kind}({dims})"
 
 
+def _print_error(line: str) -> None:  # a refused value is echoed whole; the head names its source
+    cut = len(line) - MAX_MESSAGE
+    print(line if cut <= 0 else f"{line[:MAX_MESSAGE]}... [{cut} characters cut]", file=sys.stderr)
+
+
 def _write(out_dir: str, name: str, content: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
@@ -91,9 +96,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise _UsageError(f"bad --pressures value: {exc}") from exc
     lines = ["pressure_kpa,ideal_force_n,predicted_force_n,loss_fraction,extrapolated"]
     for p in pressures:
-        ideal = geometry.ideal_force(p, spec.cross_section, safety_cap_kpa=spec.max_pressure_kpa)
-        lv = loss.loss_fraction(p, spec.loss_model)  # the loss that predicted_force takes
-        force = ideal * (1.0 - lv.fraction)
+        force = loss.predicted_force(p, spec)  # refuses a pressure past the actuator's max
+        ideal = geometry.ideal_force(p, spec.cross_section)
+        lv = loss.loss_fraction(p, spec.loss_model)
         lines.append(f"{_fmt(p)},{_fmt(ideal)},{_fmt(force)},{_fmt(lv.fraction)},{int(lv.extrapolated)}")
     table = "\n".join(lines) + "\n"
     print(table, end="")
@@ -130,7 +135,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     violations = sweep.validate_sweep(table, sweep.SweepProtocol(trials=args.trials))
     if violations:
         for v in violations:
-            print(f"protocol violation: {v}", file=sys.stderr)
+            _print_error(f"protocol violation: {v}")
         return EXIT_DATA
     window = (args.window[0], args.window[1])
     series = sweep.compute_loss_series(table, shapes)
@@ -236,9 +241,7 @@ def main(argv: list[str] | None = None) -> int:
         code, message = EXIT_USAGE, f"usage error: {exc}"
     except (OSError, ValueError, OverflowError) as exc:
         code, message = EXIT_DATA, f"error: {exc}"
-    if len(message) > MAX_MESSAGE:  # a refused value is echoed whole; the head names its source
-        message = f"{message[:MAX_MESSAGE]}... [{len(message) - MAX_MESSAGE} characters cut]"
-    print(message, file=sys.stderr)
+    _print_error(message)
     return code
 
 

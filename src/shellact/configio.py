@@ -19,8 +19,9 @@ actuator spec::
 
     cross_section: {...}
     loss_model: {...}
-    max_pressure_kpa: 60
+    max_pressure_kpa: 60         # optional, as are the two below
     stroke_mm: 5
+    allow_extrapolation: false   # true or false; true accepts a max past valid_range_kpa
 
 shapes file: ``shapes: {<shape_id>: <cross-section>, ...}``
 layout file: ``actuators: [{id, site, side, lever_arm_m, direction, spec}, ...]``
@@ -99,14 +100,14 @@ def loss_model_from_dict(d: dict[str, Any]) -> LossModel:
 
 
 def actuator_spec_from_dict(d: dict[str, Any]) -> ActuatorSpec:
+    """An ActuatorSpec of the keys ``d`` holds; an absent option keeps the spec's own default."""
     _only(d, [f.name for f in fields(ActuatorSpec)], "actuator spec")
     try:
         return ActuatorSpec(
-            cross_section=cross_section_from_dict(d["cross_section"]),
-            loss_model=loss_model_from_dict(d["loss_model"]),
-            max_pressure_kpa=_number(d.get("max_pressure_kpa", 60.0), "max_pressure_kpa"),
-            stroke_mm=_number(d.get("stroke_mm", 5.0), "stroke_mm"),
-            allow_extrapolation=bool(d.get("allow_extrapolation", False)),
+            cross_section_from_dict(d["cross_section"]),
+            loss_model_from_dict(d["loss_model"]),
+            **{k: v if k == "allow_extrapolation" else _number(v, k)
+               for k, v in d.items() if k not in ("cross_section", "loss_model")},
         )
     except KeyError as exc:
         raise ValueError(f"actuator spec config missing key {exc}") from exc

@@ -7,7 +7,8 @@ Unit system (locked package-wide):
 - force: newton (N)
 
 The single kPa*mm^2 -> N conversion (factor 1e-3) lives in
-:func:`ideal_force`; no other function converts units.
+:func:`ideal_force`; no other function converts units. It is only P*A: a
+pressure cap belongs to each actuator and is checked where it is driven.
 """
 
 from __future__ import annotations
@@ -16,10 +17,6 @@ import math
 from dataclasses import dataclass, fields
 
 from ._lazy import np
-
-#: Default supply-pressure cap in kPa. The characterization rig uses 3D
-#: printed parts that are not rated beyond this.
-DEFAULT_SAFETY_CAP_KPA = 60.0
 
 #: Most rows a simulation trace or a synthetic sweep may hold, checked before allocating.
 MAX_ROWS = 10_000_000
@@ -41,14 +38,11 @@ def reject(values, bad, message: str, *args) -> None:
         raise ValueError(message.format(values, *args))
 
 
-def check_pressure(pressure_kpa, cap_kpa: float = DEFAULT_SAFETY_CAP_KPA):
-    """Validate supply pressures (a float or an array): finite, non-negative, within the cap."""
-    p = pressure_kpa
+def check_pressure(p) -> None:
+    """Validate supply pressures in kPa (a float or an array): finite and non-negative."""
     # negative, NaN (p != p) or infinite; plain comparisons keep floats off numpy
     reject(p, (p < 0.0) | (p != p) | (p == math.inf),
            "pressure must be a finite non-negative kPa value, got {!r}")
-    reject(p, p > cap_kpa, "pressure {} kPa exceeds safety cap {} kPa", cap_kpa)
-    return p
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -160,9 +154,9 @@ def equal_area_family(
         ) from None
 
 
-def ideal_force(pressure_kpa, cs: CrossSection, safety_cap_kpa: float = DEFAULT_SAFETY_CAP_KPA):
+def ideal_force(pressure_kpa, cs: CrossSection):
     """Lossless force P*A in newtons for supply pressures (a float or an array)."""
-    check_pressure(pressure_kpa, safety_cap_kpa)
+    check_pressure(pressure_kpa)
     a = area(cs)
     # the largest pressure overflows first; as a float it does so without a numpy warning
     p = pressure_kpa.max(initial=0.0).item() if getattr(pressure_kpa, "ndim", 0) else pressure_kpa

@@ -5,7 +5,8 @@ scaled by ``1 - loss``, where the loss is a dimensionless fraction in
 [0, 1]. Two parametric loss curves are supported: a linear fit valid over
 the upper half of the pressure sweep (balloon prototype) and an
 exponentially decaying loss (molded actuator). Every evaluation takes a
-float or a numpy array of pressures.
+float or a numpy array of pressures. A pressure cap is each actuator's
+``max_pressure_kpa``, checked where the actuator is driven (:func:`predicted_force`).
 """
 
 from __future__ import annotations
@@ -111,6 +112,9 @@ class ActuatorSpec:
     allow_extrapolation: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.allow_extrapolation, bool):  # bool("no") would be True
+            raise ValueError("allow_extrapolation must be true or false, "
+                             f"got {self.allow_extrapolation!r}")
         if not (math.isfinite(self.max_pressure_kpa) and self.max_pressure_kpa > 0.0):
             raise ValueError(f"max_pressure_kpa must be positive, got {self.max_pressure_kpa!r}")
         if not (math.isfinite(self.stroke_mm) and self.stroke_mm > 0.0):
@@ -136,9 +140,8 @@ def engineered_spec() -> ActuatorSpec:
 def predicted_force(pressure_kpa, spec: ActuatorSpec):
     """Model force in newtons: ideal_force * (1 - loss), for a float or an array."""
     cap = spec.max_pressure_kpa
-    reject(pressure_kpa, pressure_kpa > cap,
-           "pressure {} kPa exceeds actuator max {} kPa", cap)
-    ideal = ideal_force(pressure_kpa, spec.cross_section, safety_cap_kpa=cap)
+    reject(pressure_kpa, pressure_kpa > cap, "pressure {} kPa exceeds actuator max {} kPa", cap)
+    ideal = ideal_force(pressure_kpa, spec.cross_section)
     return ideal * (1.0 - loss_fraction(pressure_kpa, spec.loss_model).fraction)
 
 
@@ -154,4 +157,4 @@ def loss_from_measurement(
         raise ValueError("loss is undefined at zero pressure")
     if measured_force_n < 0.0:
         raise ValueError(f"measured force must be >= 0, got {measured_force_n!r}")
-    return 1.0 - measured_force_n / ideal_force(pressure_kpa, cs, safety_cap_kpa=math.inf)
+    return 1.0 - measured_force_n / ideal_force(pressure_kpa, cs)

@@ -47,15 +47,12 @@ class RigConfig:
             raise ValueError("pre_knee_start_loss must be in [0, 1]")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
-        for shape_id, spec in self.ground_truth.items():
-            if self.protocol.stop_kpa > spec.max_pressure_kpa:
-                raise ValueError(
-                    f"protocol stop {self.protocol.stop_kpa} kPa exceeds "
-                    f"max pressure of actuator {shape_id!r}"
-                )
         stop = self.protocol.stop_kpa
-        bound = max(ideal_force(stop, spec.cross_section, math.inf)
-                    for spec in self.ground_truth.values())
+        for shape_id, spec in self.ground_truth.items():
+            if stop > spec.max_pressure_kpa:
+                raise ValueError(f"protocol stop {stop} kPa exceeds "
+                                 f"max pressure of actuator {shape_id!r}")
+        bound = max(ideal_force(stop, spec.cross_section) for spec in self.ground_truth.values())
         if self.noise_sigma_n > bound:
             raise ValueError(f"noise_sigma_n must be <= {bound:.4g} N, the largest ideal force "
                              f"P*A of the sweep (at stop_kpa {stop}), got {self.noise_sigma_n!r}")
@@ -64,10 +61,7 @@ class RigConfig:
 def default_noise_sigma_n(cfg_ground_truth: dict[str, ActuatorSpec], protocol: SweepProtocol) -> float:
     """1% of the mid-sweep ideal force, averaged over the configured shapes."""
     mid = (protocol.start_kpa + protocol.stop_kpa) / 2.0
-    ideals = [
-        ideal_force(mid, spec.cross_section, safety_cap_kpa=math.inf)
-        for spec in cfg_ground_truth.values()
-    ]
+    ideals = [ideal_force(mid, spec.cross_section) for spec in cfg_ground_truth.values()]
     return 0.01 * math.fsum(ideals) / len(ideals)
 
 
@@ -108,8 +102,8 @@ def generate_sweep(cfg: RigConfig) -> SweepDataset:
     reject(rows, rows > MAX_ROWS,
            "a sweep of {} rows exceeds the cap of {} rows", MAX_ROWS)
     specs = [cfg.ground_truth[name] for name in names]
-    clean = np.array([ideal_force(pressures, s.cross_section, safety_cap_kpa=s.max_pressure_kpa)
-                      * (1.0 - true_loss(cfg, s, pressures)) for s in specs])
+    clean = np.array([ideal_force(pressures, s.cross_section) * (1.0 - true_loss(cfg, s, pressures))
+                      for s in specs])
     # sigma 0 draws zeros: the noise is 0.0 + 0.0 * z
     force = rng.normal(0.0, cfg.noise_sigma_n, (len(names), len(pressures), trials))
     force += clean[:, :, None]

@@ -22,9 +22,12 @@ from itertools import islice
 from typing import BinaryIO, NamedTuple
 
 from ._lazy import np
-from .geometry import DEFAULT_SAFETY_CAP_KPA, CrossSection, ideal_force, reject
+from .geometry import CrossSection, ideal_force, reject
 from .loss import LinearLoss, LossModel, _check_valid_range, loss_fraction, loss_from_measurement
 from .svgchart import byte_rows, csv_field, fixed_text, join_rows
+
+#: Highest step pressure in kPa: the rig's 3D-printed parts are not rated beyond it.
+RIG_CAP_KPA = 60.0
 
 MEASUREMENT_HEADER = ["shape_id", "pressure_kpa", "trial", "force_n"]
 REPORT_HEADER = [
@@ -159,8 +162,9 @@ def validate_sweep(table: StepTable, protocol: SweepProtocol) -> list[Violation]
     steps = list(zip(table.shape_id, table.pressure_kpa.tolist(),
                      table.n_trials.tolist(), table.n_distinct_trials.tolist()))
     n_trials = {(shape_id, p): n for shape_id, p, n, _ in steps}
+    expected = protocol.pressures()
     for shape_id in dict.fromkeys(table.shape_id):
-        for p in protocol.pressures():
+        for p in expected:
             n = n_trials.get((shape_id, p))
             if n is None:
                 detail = f"shape {shape_id!r} has no {p:g} kPa record"
@@ -174,10 +178,12 @@ def validate_sweep(table: StepTable, protocol: SweepProtocol) -> list[Violation]
             detail = (f"shape {shape_id!r} at {p:g} kPa has {n} rows "
                       f"but {distinct} distinct trial ids")
             violations.append(Violation("duplicate trial", detail))
-        if p > DEFAULT_SAFETY_CAP_KPA:
-            detail = (f"shape {shape_id!r} record at {p:g} kPa "
-                      f"exceeds the {DEFAULT_SAFETY_CAP_KPA:g} kPa cap")
+        if p > RIG_CAP_KPA:
+            detail = f"shape {shape_id!r} record at {p:g} kPa exceeds the {RIG_CAP_KPA:g} kPa cap"
             violations.append(Violation("over cap", detail))
+        elif p not in expected:
+            detail = f"shape {shape_id!r} has a {p:g} kPa record outside the protocol"
+            violations.append(Violation("unexpected step", detail))
     return violations
 
 
@@ -195,7 +201,7 @@ def _step_losses(table: StepTable, shapes: dict[str, CrossSection]) -> list[tupl
                                  table.mean_force_n.tolist()):
         if shape_id not in shapes:
             raise ValueError(f"shape {shape_id!r} has no cross-section")
-        ideal = ideal_force(p, shapes[shape_id], safety_cap_kpa=math.inf)
+        ideal = ideal_force(p, shapes[shape_id])
         loss = loss_from_measurement(p, shapes[shape_id], mean)
         if loss < 0.0:  # the shell cannot deliver more than P*A
             raise ValueError(f"shape {shape_id!r} at {p:g} kPa: mean force {mean:g} N "
@@ -220,7 +226,6 @@ class FitReport(NamedTuple):
     slope_per_kpa: float
     intercept: float
     r_squared: float
-    reference_deltas: tuple[float, float] | None = None
 
     def as_model(self) -> LinearLoss:
         return LinearLoss(self.slope_per_kpa, self.intercept, self.window_kpa)
@@ -229,7 +234,6 @@ class FitReport(NamedTuple):
 def fit_linear_loss(
     series: list[tuple[float, float]],
     window_kpa: tuple[float, float] = (30.0, 60.0),
-    reference: LinearLoss | None = None,
     label: str = "pooled series",
 ) -> FitReport:
     """Ordinary least squares with intercept over points inside the window.
@@ -262,10 +266,7 @@ def fit_linear_loss(
     except OverflowError:
         worst = max(map(abs, ys))
         raise ValueError(f"{label}: loss values too large to fit, up to {worst:g} in size") from None
-    deltas = None
-    if reference is not None:
-        deltas = (slope - reference.slope_per_kpa, intercept - reference.intercept)
-    return FitReport((lo, hi), slope, intercept, max(0.0, min(1.0, r_squared)), deltas)
+    return FitReport((lo, hi), slope, intercept, max(0.0, min(1.0, r_squared)))
 
 
 # --- comparison report ----------------------------------------------------

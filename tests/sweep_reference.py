@@ -73,7 +73,7 @@ def generate_records(cfg):
     for shape_id in sorted(cfg.ground_truth):
         spec = cfg.ground_truth[shape_id]
         for p in cfg.protocol.pressures():
-            ideal = ideal_force(p, spec.cross_section, safety_cap_kpa=spec.max_pressure_kpa)
+            ideal = ideal_force(p, spec.cross_section)
             clean = ideal * (1.0 - true_loss(cfg, spec, p))
             for trial in range(1, cfg.protocol.trials + 1):
                 noise = rng.normal(0.0, cfg.noise_sigma_n) if cfg.noise_sigma_n > 0.0 else 0.0

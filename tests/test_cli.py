@@ -149,6 +149,11 @@ class TestPredict:
             "", "error: P*A overflows the float range: pressure 30.0 kPa, area inf mm^2\n"
         )
 
+    def test_over_cap_pressure_exits_2_naming_the_actuator_max(self, capsys):
+        assert run(["predict", "--pressures", "30,61"]) == 2
+        err = "error: pressure 61.0 kPa exceeds actuator max 60.0 kPa\n"
+        assert capsys.readouterr() == ("", err)
+
     def test_zero_pressure_row(self, capsys):
         assert run(["predict", "--pressures", "0"]) == 0
         row = capsys.readouterr().out.splitlines()[1].split(",")
@@ -193,6 +198,19 @@ class TestGenerateAndFit:
         bad.write_text("\n".join(lines) + "\n")
         assert run(["fit", "--input", str(bad), "--out", str(out)]) == 2
         assert "missing step" in capsys.readouterr().err
+
+    def test_step_outside_the_protocol_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        run(["generate", "--seed", "0", "--noise-sigma", "0", "--out", str(out)])
+        bad = tmp_path / "extra.csv"
+        extra = "".join(f"circle,32.5000,{t},30.0000\n" for t in (1, 2, 3))
+        bad.write_text((out / "measurements.csv").read_text() + extra)
+        assert run(["fit", "--input", str(bad), "--out", str(tmp_path / "fit")]) == 2
+        assert capsys.readouterr().err == (
+            "protocol violation: unexpected step: "
+            "shape 'circle' has a 32.5 kPa record outside the protocol\n"
+        )
+        assert not (tmp_path / "fit").exists()
 
     def test_generate_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -285,6 +303,14 @@ BAD_CONFIGS = {
         "phases:\n- {name: a, fraction: 1.0, pressure: {knee_medial: 30}}\n",
         "phase entry has unknown key 'pressure'",
     ),
+    # bool() of any non-empty value is true, so these used to allow extrapolation
+    **{f"extrapolation_flag_{name}": (
+        "--spec",
+        "cross_section: {kind: circle, radius_mm: 25}\n"
+        + "loss_model: " + LINEAR_LOSS.replace("[30, 60]", "[30, 50]")
+        + f"\nmax_pressure_kpa: 60\nallow_extrapolation: {value}\n",
+        f"allow_extrapolation must be true or false, got {shown}",
+    ) for name, value, shown in [("string", '"no"', "'no'"), ("list", "[0]", "[0]")]},
     # PyYAML's composer recurses once per level, so this used to end in a RecursionError
     "deep_nesting": ("--schedule", "phases: " + "[" * 1000 + "]" * 1000 + "\n", "nesting too deep"),
 }
@@ -489,6 +515,19 @@ class TestErrorContract:
         err = capsys.readouterr().err
         cut = re.fullmatch(r"(.{1000})\.\.\. \[(\d+) characters cut\]\n", err, re.S)
         assert cut and cut[1].startswith(f"error: {path}: {head}")
+        assert int(cut[2]) > 100_000
+
+    def test_long_violation_line_is_cut_after_the_head(self, one_trial_csv, tmp_path, capsys):
+        long_id = "a" * 200_000
+        lines = [line.replace("circle,", f"{long_id},") for line in one_trial_csv[0].splitlines()
+                 if not line.startswith("circle,45.0000,")]
+        path = tmp_path / "long_id.csv"
+        path.write_text("\n".join(lines) + "\n")
+        argv = ["fit", "--trials", "1", "--input", str(path), "--out", str(tmp_path / "out")]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        cut = re.fullmatch(r"(.{1000})\.\.\. \[(\d+) characters cut\]\n", err, re.S)
+        assert cut and cut[1].startswith("protocol violation: missing step: shape 'aaa")
         assert int(cut[2]) > 100_000
 
     @pytest.mark.parametrize("old, new", [
@@ -848,7 +887,9 @@ class TestSimulate:
             str(schedule_file),
         )
         rc = run(["simulate", "--schedule", str(schedule_file), "--out", str(tmp_path)])
-        assert rc != 0
+        assert rc == 2
+        assert capsys.readouterr().err == (f"error: {schedule_file}: phase 'hot' commands 55.0 kPa "
+                                           "on 'knee_medial', outside [0, 50.0]\n")
 
     def test_simulation_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -120,15 +120,7 @@ class TestIdealForce:
     def test_reference_values(self):
         assert ideal_force(60.0, Circle(25.0)) == pytest.approx(117.810, abs=1e-3)
         assert ideal_force(0.0, Square(10.0)) == 0.0
-        assert ideal_force(50.0, RoundedRectangle(60, 40, 8), safety_cap_kpa=50.0) == pytest.approx(
-            117.253, abs=1e-3
-        )
-
-    def test_safety_cap(self):
-        with pytest.raises(ValueError, match="^pressure 61.0 kPa exceeds safety cap 60.0 kPa$"):
-            ideal_force(61.0, Circle(25.0))
-        # configurable cap
-        assert ideal_force(70.0, Circle(25.0), safety_cap_kpa=80.0) > 0
+        assert ideal_force(50.0, RoundedRectangle(60, 40, 8)) == pytest.approx(117.253, abs=1e-3)
 
     def test_negative_pressure_rejected(self):
         with pytest.raises(ValueError):

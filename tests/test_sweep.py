@@ -209,6 +209,8 @@ def broken_sweep(kind):
         rows = [r for r in rows if not (r[0] == "square" and r[1] == 45.0)]
     elif kind == "trial count mismatch":
         rows = [r for r in rows if not (r[0] == "circle" and r[1] == 30.0 and r[2] == 3)]
+    elif kind == "unexpected step":  # between the protocol's 30 and 35 kPa steps
+        rows += [("circle", 32.5, t, 30.0) for t in (1, 2, 3)]
     elif kind == "duplicate trial":
         # two trial-1 rows and no trial 2: the row count matches the protocol
         rows = [(sid, p, 1 if (sid, p, t) == ("circle", 30.0, 2) else t, f)
@@ -257,6 +259,8 @@ class TestValidateSweep:
         ("duplicate trial",
          "duplicate trial: shape 'circle' at 30 kPa has 3 rows but 2 distinct trial ids"),
         ("over cap", "over cap: shape 'c' record at 70 kPa exceeds the 60 kPa cap"),
+        ("unexpected step",
+         "unexpected step: shape 'circle' has a 32.5 kPa record outside the protocol"),
     ])
     def test_kind_and_text(self, kind, text):
         assert [(v.kind, str(v)) for v in broken_sweep(kind)] == [(kind, text)]
@@ -317,10 +321,6 @@ class TestFitLinearLoss:
         pts = EXACT_POINTS + [(5.0, 0.70), (10.0, 0.65)]  # pre-knee points off the line
         rep = fit_linear_loss(pts, window_kpa=(30.0, 60.0))
         assert rep.slope_per_kpa == pytest.approx(-0.005, abs=1e-12)
-
-    def test_reference_deltas(self):
-        rep = fit_linear_loss(EXACT_POINTS, reference=BALLOON_LOSS)
-        assert rep.reference_deltas == pytest.approx((0.0, 0.0), abs=1e-12)
 
     @pytest.mark.parametrize("window", [(60.0, 30.0), (math.nan, 30.0), (30.0, math.inf),
                                         (-10.0, 60.0)])
