@@ -1,7 +1,8 @@
 """YAML config schemas for cross-sections, actuator specs, brace layouts
 and gait schedules.
 
-Schema summary (all keys lowercase):
+Schema summary (all keys lowercase; every key is required unless marked
+optional):
 
 cross-section::
 
@@ -13,7 +14,7 @@ loss model::
     form: linear            |  form: exponential
     slope_per_kpa: -0.005   |  amplitude: 0.993
     intercept: 0.522        |  decay_per_kpa: 0.07
-    valid_range_kpa: [30, 60]
+    valid_range_kpa: [30, 60]    # two numbers, low < high
 
 actuator spec::
 
@@ -25,16 +26,21 @@ actuator spec::
 
 shapes file: ``shapes: {<shape_id>: <cross-section>, ...}``
 layout file: ``actuators: [{id, site, side, lever_arm_m, direction, spec}, ...]``
-schedule file: ``phases: [{name, fraction, pressures: {<id>: kPa}}, ...]``
+with ``site`` thigh | knee | shank, ``side`` medial | lateral and ``direction``
+medial_to_lateral | lateral_to_medial
+schedule file: ``phases: [{name, fraction, pressures: {<id>: kPa}}, ...]``;
+``pressures`` is optional, and absent or null means the phase commands nothing
 
 A key not listed above for its mapping is refused, naming the key, so a
-misspelt key never silently falls back to its default.
+misspelt key never silently falls back to its default; so is a missing
+required key. A boolean is not a number: ``radius_mm: true`` is refused.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Collection
 from dataclasses import fields
+from enum import Enum
 from typing import Any
 
 from ._lazy import _lazy, yaml
@@ -47,8 +53,11 @@ brace = _lazy(f"{__package__}.brace")  # only layouts and schedules need it
 _LOSS_MODELS = {"linear": LinearLoss, "exponential": ExponentialLoss}
 
 
-def _lookup(table: dict[str, Any], name: Any, what: str) -> Any:
-    found = next((value for key, value in table.items() if key == name), None)
+def _lookup(table: dict[str, Any] | type[Enum], name: Any, what: str) -> Any:
+    """``table``'s value under the key ``name``; an Enum is keyed by its lower-case member names."""
+    if not isinstance(table, dict):
+        table = {key.lower(): member for key, member in table.__members__.items()}
+    found = table.get(name) if isinstance(name, str) else None  # a list or a mapping is no key
     if found is None:
         raise ValueError(f"unknown {what} {name!r}")
     return found
@@ -62,59 +71,57 @@ def _expect(value: Any, kind: type, what: str) -> Any:
     return value
 
 
-def _only(d: dict[str, Any], keys: list[str], what: str) -> dict[str, Any]:
-    """``d`` if it is a mapping whose every key is one of ``keys``."""
-    for key in _expect(d, dict, what):
-        if key not in keys:
+def _only(d: Any, required: Collection[str], what: str,
+          optional: Collection[str] = ()) -> dict[str, Any]:
+    """``d`` if it is a mapping with every ``required`` key and no key outside ``optional``."""
+    _expect(d, dict, what)
+    for key in required:
+        if key not in d:
+            raise ValueError(f"{what} missing key {key!r}")
+    for key in d:
+        if key not in required and key not in optional:
             raise ValueError(f"{what} has unknown key {key!r}")
     return d
 
 
 def _number(value: Any, what: str) -> float:
     try:
-        return float(value)
+        return float(None if isinstance(value, bool) else value)  # float(True) would be 1.0
     except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float range
         raise ValueError(f"{what} must be a number, got {value!r}") from None
 
 
+def _tagged(d: Any, tag: str, table: dict[str, type], what: str) -> Any:
+    """The ``table`` class ``d[tag]`` names, of a number per field (a range: a list of numbers)."""
+    cls = _lookup(table, d[tag], f"{what} {tag}") if tag in _expect(d, dict, what) else None
+    names = [f.name for f in fields(cls)] if cls else []
+    _only(d, [tag, *names], what)
+    return cls(*(tuple(_number(x, k) for x in _expect(d[k], list, k)) if k == "valid_range_kpa"
+                 else _number(d[k], k) for k in names))
+
+
 def cross_section_from_dict(d: dict[str, Any]) -> CrossSection:
-    _expect(d, dict, "cross-section")
-    try:
-        cls = _lookup(CROSS_SECTIONS, d["kind"], "cross-section kind")
-        _only(d, ["kind", *(f.name for f in fields(cls))], "cross-section")
-        return cls(*(_number(d[f.name], f.name) for f in fields(cls)))
-    except KeyError as exc:
-        raise ValueError(f"cross-section config missing key {exc}") from exc
+    return _tagged(d, "kind", CROSS_SECTIONS, "cross-section")
 
 
 def loss_model_from_dict(d: dict[str, Any]) -> LossModel:
-    _expect(d, dict, "loss model")
-    try:
-        cls = _lookup(_LOSS_MODELS, d["form"], "loss model form")
-        _only(d, ["form", *(f.name for f in fields(cls))], "loss model")
-        bounds = _expect(d["valid_range_kpa"], list, "valid_range_kpa")
-        rng = tuple(_number(x, "valid_range_kpa") for x in bounds)
-        return cls(*(_number(d[f.name], f.name) for f in fields(cls)[:-1]), rng)
-    except KeyError as exc:
-        raise ValueError(f"loss model config missing key {exc}") from exc
+    return _tagged(d, "form", _LOSS_MODELS, "loss model")
 
 
 def actuator_spec_from_dict(d: dict[str, Any]) -> ActuatorSpec:
     """An ActuatorSpec of the keys ``d`` holds; an absent option keeps the spec's own default."""
-    _only(d, [f.name for f in fields(ActuatorSpec)], "actuator spec")
-    try:
-        return ActuatorSpec(
-            cross_section_from_dict(d["cross_section"]),
-            loss_model_from_dict(d["loss_model"]),
-            **{k: v if k == "allow_extrapolation" else _number(v, k)
-               for k, v in d.items() if k not in ("cross_section", "loss_model")},
-        )
-    except KeyError as exc:
-        raise ValueError(f"actuator spec config missing key {exc}") from exc
+    names = [f.name for f in fields(ActuatorSpec)]
+    _only(d, names[:2], "actuator spec", optional=names[2:])
+    return ActuatorSpec(
+        cross_section_from_dict(d["cross_section"]),
+        loss_model_from_dict(d["loss_model"]),
+        **{k: v if k == "allow_extrapolation" else _number(v, k)
+           for k, v in d.items() if k in names[2:]},
+    )
 
 
 def shapes_from_dict(d: dict[str, Any]) -> dict[str, CrossSection]:
-    shapes = _only(d, ["shapes"], "shapes file").get("shapes")
+    shapes = _only(d, ["shapes"], "shapes file")["shapes"]
     if not isinstance(shapes, dict) or not shapes:
         raise ValueError("expected a non-empty 'shapes' mapping")
     return {str(sid): cross_section_from_dict(cs) for sid, cs in shapes.items()}
@@ -122,39 +129,30 @@ def shapes_from_dict(d: dict[str, Any]) -> dict[str, CrossSection]:
 
 def layout_from_dict(d: dict[str, Any]) -> brace.BraceLayout:
     placements = []
-    for entry in _expect(_only(d, ["actuators"], "layout").get("actuators"), list, "'actuators'"):
+    for entry in _expect(_only(d, ["actuators"], "layout")["actuators"], list, "'actuators'"):
         _only(entry, ["id", "site", "side", "spec", "lever_arm_m", "direction"], "actuator entry")
-        try:
-            placements.append(
-                brace.ActuatorPlacement(
-                    actuator_id=str(entry["id"]),
-                    site=brace.Site(entry["site"]),
-                    side=brace.Side(entry["side"]),
-                    spec=actuator_spec_from_dict(entry["spec"]),
-                    lever_arm_m=_number(entry["lever_arm_m"], "lever_arm_m"),
-                    direction=_direction(entry["direction"]),
-                )
+        placements.append(
+            brace.ActuatorPlacement(
+                actuator_id=str(entry["id"]),
+                site=_lookup(brace.Site, entry["site"], "site"),
+                side=_lookup(brace.Side, entry["side"], "side"),
+                spec=actuator_spec_from_dict(entry["spec"]),
+                lever_arm_m=_number(entry["lever_arm_m"], "lever_arm_m"),
+                direction=_lookup(brace.ForceDirection, entry["direction"], "force direction"),
             )
-        except KeyError as exc:
-            raise ValueError(f"actuator entry missing key {exc}") from exc
+        )
     return brace.BraceLayout(tuple(placements))
-
-
-def _direction(name: str) -> brace.ForceDirection:
-    return _lookup({d.name.lower(): d for d in brace.ForceDirection}, name, "force direction")
 
 
 def schedule_from_dict(d: dict[str, Any]) -> brace.GaitSchedule:
     phases = []
-    for entry in _expect(_only(d, ["phases"], "schedule").get("phases"), list, "'phases'"):
-        _only(entry, ["name", "fraction", "pressures"], "phase entry")
-        try:
-            pressures = _expect(entry.get("pressures") or {}, dict, "phase pressures")
-            kpa = {str(k): _number(v, f"pressure of {k!r}") for k, v in pressures.items()}
-            fraction = _number(entry["fraction"], "fraction")
-            phases.append(brace.GaitPhase(str(entry["name"]), fraction, kpa))
-        except KeyError as exc:
-            raise ValueError(f"phase entry missing key {exc}") from exc
+    for entry in _expect(_only(d, ["phases"], "schedule")["phases"], list, "'phases'"):
+        _only(entry, ["name", "fraction"], "phase entry", optional=["pressures"])
+        pressures = entry.get("pressures")  # absent or null: the phase commands nothing
+        pressures = _expect({} if pressures is None else pressures, dict, "phase pressures")
+        kpa = {str(k): _number(v, f"pressure of {k!r}") for k, v in pressures.items()}
+        fraction = _number(entry["fraction"], "fraction")
+        phases.append(brace.GaitPhase(str(entry["name"]), fraction, kpa))
     return brace.GaitSchedule(tuple(phases))
 
 

@@ -27,7 +27,7 @@ def _exp(x):
 
 
 def _check_valid_range(range_kpa: tuple[float, float], name: str = "valid_range_kpa") -> None:
-    lo, hi = range_kpa
+    lo, hi = range_kpa if len(range_kpa) == 2 else (math.nan, math.nan)
     if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo < hi):
         raise ValueError(f"{name} must be finite with 0 <= lo < hi, got {range_kpa!r}")
 

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import functools
 import io
 import math
 import os
@@ -311,6 +312,21 @@ BAD_CONFIGS = {
         + f"\nmax_pressure_kpa: 60\nallow_extrapolation: {value}\n",
         f"allow_extrapolation must be true or false, got {shown}",
     ) for name, value, shown in [("string", '"no"', "'no'"), ("list", "[0]", "[0]")]},
+    # a falsy pressures used to read as a phase that commands nothing
+    **{f"pressures_{name}": (
+        "--schedule",
+        f"phases:\n- {{name: a, fraction: 1.0, pressures: {value}}}\n",
+        "phase pressures must be a mapping",
+    ) for name, value in [("zero", "0"), ("false", "false"), ("empty_list", "[]"),
+                          ("empty_string", '""')]},
+    # a range of other than two values used to fail to unpack, naming no field
+    **{f"valid_range_{name}": (
+        "--spec",
+        "cross_section: {kind: circle, radius_mm: 25}\n"
+        + "loss_model: " + LINEAR_LOSS.replace("[30, 60]", value) + "\n",
+        f"valid_range_kpa must be finite with 0 <= lo < hi, got {shown}",
+    ) for name, value, shown in [("three_values", "[30, 45, 60]", "(30.0, 45.0, 60.0)"),
+                                 ("one_value", "[30]", "(30.0,)")]},
     # PyYAML's composer recurses once per level, so this used to end in a RecursionError
     "deep_nesting": ("--schedule", "phases: " + "[" * 1000 + "]" * 1000 + "\n", "nesting too deep"),
 }
@@ -358,6 +374,15 @@ def replaced(data, path, value):
     return copy
 
 
+CONFIG_FLAG_NAMES = ["--schedule", "--layout", "--spec", "--shapes"]
+# every number in each valid config, as (flag, path)
+NUMERIC_LEAVES = [
+    (flag, path) for flag, data in ((flag, valid_config(flag)) for flag in CONFIG_FLAG_NAMES)
+    for path in nodes(data)
+    if type(functools.reduce(lambda node, key: node[key], path, data)) in (int, float)
+]
+
+
 YAML_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: (
@@ -365,7 +390,7 @@ YAML_VALUES = st.recursive(
     ),
     max_leaves=6,
 )
-CONFIG_FLAGS = st.sampled_from(["--schedule", "--layout", "--spec", "--shapes"])
+CONFIG_FLAGS = st.sampled_from(CONFIG_FLAG_NAMES)
 
 
 @pytest.fixture(scope="module")
@@ -605,6 +630,18 @@ class TestErrorContract:
         assert run(config_argv(flag, path, one_trial_csv, tmp_path / "out")) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and message in err
+
+    # float(True) is 1.0, so a boolean used to read as the number 1 or 0
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("flag, path", NUMERIC_LEAVES,
+                             ids=[f"{flag[2:]}-" + ".".join(map(str, path))
+                                  for flag, path in NUMERIC_LEAVES])
+    def test_boolean_for_a_number_exits_2_naming_the_file(self, one_trial_csv, tmp_path, capsys,
+                                                          flag, path, value):
+        config = tmp_path / "config.yaml"
+        dump_yaml(replaced(valid_config(flag), path, value), str(config))
+        assert run(config_argv(flag, config, one_trial_csv, tmp_path / "out")) == 2
+        assert capsys.readouterr().err.startswith(f"error: {config}: ")
 
 
 
@@ -917,5 +954,38 @@ class TestConfigIO:
             configio.cross_section_from_dict({"kind": "hexagon", "side_mm": 3})
 
     def test_unknown_direction_rejected(self):
+        layout = layout_to_dict(default_layout())
+        layout["actuators"][0]["direction"] = "upward"
         with pytest.raises(ValueError, match="^unknown force direction 'upward'$"):
-            configio._direction("upward")
+            configio.layout_from_dict(layout)
+
+    @pytest.mark.parametrize("key, value", [("site", "hip"), ("side", "front")])
+    def test_unknown_site_or_side_rejected(self, key, value):
+        layout = layout_to_dict(default_layout())
+        layout["actuators"][0][key] = value
+        with pytest.raises(ValueError, match=f"^unknown {key} '{value}'$"):
+            configio.layout_from_dict(layout)
+
+    @pytest.mark.parametrize("from_dict, data, message", [
+        ("cross_section_from_dict", {"radius_mm": 25}, "cross-section missing key 'kind'"),
+        ("cross_section_from_dict", {"kind": "circle"}, "cross-section missing key 'radius_mm'"),
+        ("loss_model_from_dict", {"form": "linear", "slope_per_kpa": -0.005, "intercept": 0.5},
+         "loss model missing key 'valid_range_kpa'"),
+        ("actuator_spec_from_dict", {"cross_section": {"kind": "circle", "radius_mm": 25}},
+         "actuator spec missing key 'loss_model'"),
+        ("layout_from_dict", {"actuators": [{"id": "a", "site": "knee", "side": "medial"}]},
+         "actuator entry missing key 'spec'"),
+        ("schedule_from_dict", {"phases": [{"name": "a"}]}, "phase entry missing key 'fraction'"),
+        ("shapes_from_dict", {}, "shapes file missing key 'shapes'"),
+        ("layout_from_dict", {}, "layout missing key 'actuators'"),
+        ("schedule_from_dict", {}, "schedule missing key 'phases'"),
+    ])
+    def test_missing_key_is_named(self, from_dict, data, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            getattr(configio, from_dict)(data)
+
+    def test_absent_null_or_empty_pressures_command_nothing(self):
+        phases = [{"name": "a", "fraction": 0.5}, {"name": "b", "fraction": 0.25, "pressures": None},
+                  {"name": "c", "fraction": 0.25, "pressures": {}}]
+        schedule = configio.schedule_from_dict({"phases": phases})
+        assert [ph.pressures_kpa for ph in schedule.phases] == [{}, {}, {}]

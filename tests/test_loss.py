@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -134,6 +135,12 @@ class TestActuatorSpec:
             LinearLoss(-0.005, 0.522, (60.0, 30.0))
         with pytest.raises(ValueError):
             ExponentialLoss(1.0, 0.1, (10.0, 10.0))
+
+    @pytest.mark.parametrize("valid_range", [(30.0, 45.0, 60.0), (30.0,)])
+    def test_valid_range_of_other_than_two_values_is_named(self, valid_range):
+        message = f"valid_range_kpa must be finite with 0 <= lo < hi, got {valid_range!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LinearLoss(-0.005, 0.522, valid_range)
 
     def test_engineered_defaults(self):
         spec = engineered_spec()

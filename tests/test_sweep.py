@@ -323,7 +323,7 @@ class TestFitLinearLoss:
         assert rep.slope_per_kpa == pytest.approx(-0.005, abs=1e-12)
 
     @pytest.mark.parametrize("window", [(60.0, 30.0), (math.nan, 30.0), (30.0, math.inf),
-                                        (-10.0, 60.0)])
+                                        (-10.0, 60.0), (30.0, 45.0, 60.0), (30.0,)])
     def test_bad_window_is_named(self, window):
         message = f"window_kpa must be finite with 0 <= lo < hi, got {window!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
