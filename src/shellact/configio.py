@@ -33,7 +33,8 @@ schedule file: ``phases: [{name, fraction, pressures: {<id>: kPa}}, ...]``;
 
 A key not listed above for its mapping is refused, naming the key, so a
 misspelt key never silently falls back to its default; so is a missing
-required key. A boolean is not a number: ``radius_mm: true`` is refused.
+required key. A boolean is not a number: ``radius_mm: true`` is refused; and
+every id and name must be a string, so ``id: null`` is refused, not read as 'None'.
 """
 
 from __future__ import annotations
@@ -84,6 +85,13 @@ def _only(d: Any, required: Collection[str], what: str,
     return d
 
 
+def _text(value: Any, what: str) -> str:
+    """``value`` if YAML loaded it as a string: ``str()`` would make ``null`` the id ``'None'``."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def _number(value: Any, what: str) -> float:
     try:
         return float(None if isinstance(value, bool) else value)  # float(True) would be 1.0
@@ -124,7 +132,7 @@ def shapes_from_dict(d: dict[str, Any]) -> dict[str, CrossSection]:
     shapes = _only(d, ["shapes"], "shapes file")["shapes"]
     if not isinstance(shapes, dict) or not shapes:
         raise ValueError("expected a non-empty 'shapes' mapping")
-    return {str(sid): cross_section_from_dict(cs) for sid, cs in shapes.items()}
+    return {_text(sid, "shape id"): cross_section_from_dict(cs) for sid, cs in shapes.items()}
 
 
 def layout_from_dict(d: dict[str, Any]) -> brace.BraceLayout:
@@ -133,7 +141,7 @@ def layout_from_dict(d: dict[str, Any]) -> brace.BraceLayout:
         _only(entry, ["id", "site", "side", "spec", "lever_arm_m", "direction"], "actuator entry")
         placements.append(
             brace.ActuatorPlacement(
-                actuator_id=str(entry["id"]),
+                actuator_id=_text(entry["id"], "actuator id"),
                 site=_lookup(brace.Site, entry["site"], "site"),
                 side=_lookup(brace.Side, entry["side"], "side"),
                 spec=actuator_spec_from_dict(entry["spec"]),
@@ -150,9 +158,10 @@ def schedule_from_dict(d: dict[str, Any]) -> brace.GaitSchedule:
         _only(entry, ["name", "fraction"], "phase entry", optional=["pressures"])
         pressures = entry.get("pressures")  # absent or null: the phase commands nothing
         pressures = _expect({} if pressures is None else pressures, dict, "phase pressures")
-        kpa = {str(k): _number(v, f"pressure of {k!r}") for k, v in pressures.items()}
+        kpa = {_text(k, "pressures key"): _number(v, f"pressure of {k!r}")
+               for k, v in pressures.items()}
         fraction = _number(entry["fraction"], "fraction")
-        phases.append(brace.GaitPhase(str(entry["name"]), fraction, kpa))
+        phases.append(brace.GaitPhase(_text(entry["name"], "phase name"), fraction, kpa))
     return brace.GaitSchedule(tuple(phases))
 
 

@@ -115,11 +115,14 @@ def generate_sweep(cfg: RigConfig) -> SweepDataset:
         f"config: {_config_digest(cfg)}",
         f"conditioning_cycles: {CONDITIONING_CYCLES}",
     ]
+    # each integer column as narrow as its largest value allows: at 4 shapes, uint8 codes
+    code = np.arange(len(names), dtype=np.min_scalar_type(len(names) - 1))
+    trial = np.arange(1, trials + 1, dtype=np.min_scalar_type(trials))
     return SweepDataset(
         tuple(names),
-        np.repeat(np.arange(len(names)), len(pressures) * trials),
+        np.repeat(code, len(pressures) * trials),
         np.tile(np.repeat(pressures, trials), len(names)),
-        np.tile(np.arange(1, trials + 1), len(names) * len(pressures)),
+        np.tile(trial, len(names) * len(pressures)),
         force.ravel(),
         tuple(provenance),
     )

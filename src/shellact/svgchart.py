@@ -4,9 +4,11 @@ Hand-rolled on purpose: outputs must be byte-identical across runs, which
 rules out plotting libraries that embed timestamps or version metadata.
 One polyline per series, fixed palette, fixed coordinate formatting.
 Coordinates are array math, one series at a time. The text of the polyline
-points, and of the trace and measurement CSVs, comes from one kernel:
-``fixed_text`` builds each number's exact ``format`` text as a row of bytes
-with array arithmetic, and ``join_rows`` joins such rows into lines.
+points, and of the trace, measurement and comparison CSVs, comes from one
+kernel: ``fixed_text`` builds each number's exact ``format`` text as a row of
+bytes with array arithmetic, and ``join_rows`` joins such rows into lines.
+A text-rows array is uint8 [n, w], one UTF-8 byte per cell; the byte 0xFF,
+which UTF-8 never contains, marks padding, so a NUL byte of a text is kept.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 _W, _H = 640, 400
 _ML, _MR, _MT, _MB = 60, 20, 30, 45  # margins
-_KEEP = 0x100  # set in a text-rows cell that holds a byte of the text
+_PAD = 0xFF  # a text-rows cell that holds no byte of the text
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -56,31 +58,32 @@ def csv_field(text: str) -> str:
 
 
 def byte_rows(texts: list[str], width: int = 0) -> np.ndarray:
-    """Text rows of ``texts``: uint16 [n, w], at least ``width`` wide.
+    """Text rows of ``texts``: uint8 [n, w], at least ``width`` wide.
 
-    Row i holds the UTF-8 bytes of text i, left-aligned, each as
-    ``_KEEP | byte``; padding cells are 0, so a NUL byte of a text is kept.
+    Row i holds the UTF-8 bytes of text i, left-aligned; padding cells hold
+    0xFF, a byte UTF-8 never contains, so a NUL byte of a text is kept.
     """
     raw = [text.encode() for text in texts]
     lengths = np.array([len(b) for b in raw], dtype=np.intp)
     keep = np.arange(max([width, *lengths.tolist()])) < lengths[:, None]
-    rows = np.zeros(keep.shape, np.uint16)
-    rows[keep] = np.frombuffer(b"".join(raw), np.uint8).astype(np.uint16) | _KEEP
+    rows = np.full(keep.shape, _PAD, np.uint8)
+    rows[keep] = np.frombuffer(b"".join(raw), np.uint8)
     return rows
 
 
 def fixed_text(values, digits: int = 0) -> np.ndarray:
     """Text rows (see ``byte_rows``) of ``format(v, f".{digits}f")`` for each value, row-major.
 
-    Integer arrays are written as ``str`` writes them. Digits are peeled
-    from rint(|v| * 10**digits) in int64, which gives ``format``'s digits
-    unless the scaled value lies within its rounding error of a tie or at
-    2**52 and above; those values, NaN, inf and negative integers are
-    formatted one by one.
+    Integer arrays are written as ``str`` writes them; their digits are peeled
+    in int64, or in uint64 for uint64. Float digits are peeled from
+    rint(|v| * 10**digits) in int64, which gives ``format``'s digits unless
+    the scaled value lies within its rounding error of a tie or at 2**52 and
+    above; those values, NaN, inf and negative integers are formatted one by one.
     """
     x = np.asarray(values).ravel()
-    if x.dtype.kind in "iu":
-        spec, digits, q, exact = "{:d}", 0, x, x >= 0
+    if x.dtype.kind in "iu":  # peeled in 64 bits: int8 holds neither 0xFF nor 10 * (-128 // 10)
+        spec, digits, exact = "{:d}", 0, x >= 0
+        q = x if x.dtype.itemsize == 8 else x.astype(np.int64)
     else:
         spec = f"{{:.{digits}f}}"
         with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fall back
@@ -90,26 +93,26 @@ def fixed_text(values, digits: int = 0) -> np.ndarray:
     slow = list(map(spec.format, x[~exact].tolist()))
     int_width = len(str(int(q.max(initial=0)) // 10**digits))
     width = max([1 + int_width + (digits + 1 if digits else 0), *map(len, slow)])
-    rows = np.zeros((len(x), width), np.uint16)
+    rows = np.full((len(x), width), _PAD, np.uint8)
     if digits:
-        rows[:, -digits - 1] = _KEEP | ord(".")
+        rows[:, -digits - 1] = ord(".")
     for k in range(digits + int_width):
         col = width - 1 - k - (k >= digits > 0)  # integer digits sit left of the point
         high = q // 10  # numpy divides by a scalar far faster in // than in np.divmod
-        digit = q - high * 10 + (_KEEP | ord("0"))
-        rows[:, col] = digit if k <= digits else np.where(q > 0, digit, 0)  # units digit kept
+        digit = q - high * 10 + ord("0")
+        rows[:, col] = digit if k <= digits else np.where(q > 0, digit, _PAD)  # units digit kept
         q = high
-    rows[:, col - 1] = np.where(np.signbit(x), _KEEP | ord("-"), 0)
+    rows[:, col - 1] = np.where(np.signbit(x), ord("-"), _PAD)
     rows[~exact] = byte_rows(slow, width)
     return rows
 
 
 def join_rows(fields: list[np.ndarray], sep: str = ",", end: str = "\n") -> str:
     """Row i of every text-rows field, joined by ``sep`` and ended by ``end``, for all rows."""
-    marks = [np.full((len(fields[0]), 1), _KEEP | ord(m), np.uint16)
+    marks = [np.full((len(fields[0]), 1), ord(m), np.uint8)
              for m in [sep] * (len(fields) - 1) + [end]]
     cells = np.concatenate([part for pair in zip(fields, marks) for part in pair], axis=1)
-    return cells[cells >= _KEEP].astype(np.uint8).tobytes().decode()
+    return cells[cells != _PAD].tobytes().decode()
 
 
 _XML_TEXT = {ord("&"): "&amp;", ord("<"): "&lt;", ord(">"): "&gt;", **{
@@ -129,8 +132,9 @@ def line_chart_svg(series: dict, title: str, x_label: str, y_label: str) -> str:
     """
     arrays = [np.asarray(s, dtype=float) if len(s) else np.empty((0, 2)) for s in series.values()]
     filled = [a for a in arrays if len(a)] or [np.zeros((1, 2))]  # no points: ranges [0, 1]
-    xs_lo, ys_lo = np.min([a.min(axis=0) for a in filled], axis=0).tolist()
-    xs_hi, ys_hi = np.max([a.max(axis=0) for a in filled], axis=0).tolist()
+    # one column at a time: numpy reduces a column far faster than an [n, 2] array over axis 0
+    xs_lo, ys_lo = np.min([(a[:, 0].min(), a[:, 1].min()) for a in filled], axis=0).tolist()
+    xs_hi, ys_hi = np.max([(a[:, 0].max(), a[:, 1].max()) for a in filled], axis=0).tolist()
     if xs_hi == xs_lo:
         xs_hi = xs_lo + 1.0
     if ys_hi == ys_lo:
@@ -169,7 +173,9 @@ def line_chart_svg(series: dict, title: str, x_label: str, y_label: str) -> str:
         )
     for i, (label, pts) in enumerate(zip(series, arrays)):
         color = _PALETTE[i % len(_PALETTE)]
-        xs, ys = pts[np.lexsort((pts[:, 1], pts[:, 0]))].T  # by x, then y
+        xs, ys = pts.T
+        if not np.all(xs[1:] > xs[:-1]):  # x that rises strictly is in order; a NaN x is not
+            xs, ys = pts[np.lexsort((ys, xs))].T  # by x, then y
         text = fixed_text([px(xs), py(ys)], 2)  # the x rows, then the y rows
         coords = join_rows([text[:len(xs)], text[len(xs):]], ",", " ")[:-1]
         parts.append(

@@ -89,8 +89,9 @@ class SweepDataset:
 
     Row i is shape ``shape_names[shape_code[i]]`` at ``pressure_kpa[i]``,
     trial ``trial[i]``, measured force ``force_n[i]``; ``shape_names`` are
-    distinct. Construction checks every row and names the first offending
-    value.
+    distinct. ``shape_code`` and ``trial`` may be of any integer dtype: the
+    rig generates them as narrow as their values allow, the reader as intp
+    and int64. Construction checks every row and names the first offending value.
     """
 
     shape_names: tuple[str, ...]

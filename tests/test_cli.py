@@ -327,6 +327,24 @@ BAD_CONFIGS = {
         f"valid_range_kpa must be finite with 0 <= lo < hi, got {shown}",
     ) for name, value, shown in [("three_values", "[30, 45, 60]", "(30.0, 45.0, 60.0)"),
                                  ("one_value", "[30]", "(30.0,)")]},
+    # str() used to turn any YAML value into an id or a name: null became 'None'
+    **{f"actuator_id_{name}": ("--layout", layout_text(id=value),
+                               f"actuator id must be a string, got {value!r}")
+       for name, value in [("null", None), ("list", [1, 2]), ("boolean", True)]},
+    **{f"phase_name_{name}": (
+        "--schedule",
+        f"phases:\n- {{name: {value}, fraction: 1.0}}\n",
+        f"phase name must be a string, got {shown}",
+    ) for name, value, shown in [("null", "null", "None"), ("list", "[a]", "['a']"),
+                                 ("boolean", "true", "True")]},
+    **{f"{where}_key_{name}": (flag, text.replace("KEY", key), message.replace("WHAT", what))
+       for where, flag, what, text in [
+           ("pressures", "--schedule", "pressures key",
+            "phases:\n- {name: a, fraction: 1.0, pressures: {KEY: 30}}\n"),
+           ("shapes", "--shapes", "shape id", "shapes: {KEY: {kind: circle, radius_mm: 25}}\n")]
+       for name, key, message in [("null", "null", "WHAT must be a string, got None"),
+                                  ("boolean", "false", "WHAT must be a string, got False"),
+                                  ("list", "[a]", "found unhashable key")]},  # PyYAML's refusal
     # PyYAML's composer recurses once per level, so this used to end in a RecursionError
     "deep_nesting": ("--schedule", "phases: " + "[" * 1000 + "]" * 1000 + "\n", "nesting too deep"),
 }

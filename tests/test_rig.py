@@ -1,3 +1,4 @@
+import io
 import math
 import re
 from dataclasses import replace
@@ -13,7 +14,13 @@ from shellact.rig import (
     generate_sweep,
     true_loss,
 )
-from shellact.sweep import SweepProtocol, compute_loss_series, fit_linear_loss, write_measurements_csv
+from shellact.sweep import (
+    SweepProtocol,
+    compute_loss_series,
+    fit_linear_loss,
+    read_measurements_csv,
+    write_measurements_csv,
+)
 from sweep_reference import generate_records, rows_of
 
 SHAPES = dict(zip(["circle", "triangle", "square", "rectangle"], equal_area_family(25.0, 2.0)))
@@ -95,6 +102,14 @@ class TestColumns:
         ds = generate_sweep(cfg)
         assert rows_of(ds) == [(r.shape_id, r.pressure_kpa, r.trial, r.force_n) for r in records]
         assert ds.provenance == tuple(provenance)
+
+    def test_integer_columns_are_as_narrow_as_their_values_and_read_back(self):
+        ds = generate_sweep(make_cfg(noise_sigma_n=0.5, protocol=SweepProtocol(trials=3000)))
+        assert (ds.shape_code.dtype, ds.trial.dtype) == (np.uint8, np.uint16)
+        back = read_measurements_csv(io.BytesIO(write_measurements_csv(ds).encode()))
+        written = [(s, p, t, float(f"{f:.4f}")) for s, p, t, f in rows_of(ds)]
+        assert rows_of(back) == written
+        assert back.trial.max() == 3000 and back.shape_names == ds.shape_names
 
     def test_vector_draw_equals_scalar_draws(self):
         a, b = np.random.default_rng(5), np.random.default_rng(5)

@@ -80,6 +80,11 @@ class TestSeriesInput:
         points = svg.split('points="')[1].split('"')[0].split()
         assert points == ["60.00,355.00", "620.00,246.67", "620.00,30.00"]
 
+    def test_rising_x_needs_no_sort(self):
+        rising = [(0.0, 2.0), (1.0, 0.0), (2.0, 1.0), (2.5, 1.0)]
+        svg = line_chart_svg({"a": rising, "b": rising[::-1]}, "t", "x", "y")
+        assert polylines(svg)[0] == polylines(svg)[1] == reference_polylines({"a": rising})[0]
+
     def test_empty_series(self):
         svg = line_chart_svg({"s": []}, "t", "x", "y")
         assert 'points=""' in svg
@@ -165,6 +170,14 @@ class TestFixedText:
 
     def test_integers_written_as_str(self):
         values = np.array([0, 7, -10, 123456789, 2**53 + 1, -(2**63)], dtype=np.int64)
+        assert texts(values) == [str(v) for v in values.tolist()]
+
+    # a narrow dtype used to overflow at "0" + digit: uint8 raised OverflowError
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.uint16,
+                                       np.int32, np.uint32, np.int64, np.uint64])
+    def test_every_integer_dtype_written_as_str(self, dtype):
+        info = np.iinfo(dtype)  # int64's min is -(2**63), uint64's max 2**64 - 1
+        values = np.array([0, 7, 10, info.max // 10, info.min, info.max], dtype)
         assert texts(values) == [str(v) for v in values.tolist()]
 
     def test_fallback_values_format_like_the_rest(self):
