@@ -73,6 +73,14 @@ def _write(out_dir: str, name: str, content: str) -> str:
     return path
 
 
+def _emit(out_dir: str | None, name: str, lines: list[str]) -> None:
+    """Print the table of ``lines``; given a directory, also write it there as ``name``."""
+    table = "\n".join(lines) + "\n"
+    print(table, end="")
+    if out_dir:
+        _write(out_dir, name, table)
+
+
 # --- subcommands -----------------------------------------------------------
 
 
@@ -81,10 +89,7 @@ def cmd_geometry(args: argparse.Namespace) -> int:
     lines = ["shape,area_mm2"]
     for cs in family:
         lines.append(f'"{_shape_label(cs)}",{_fmt(geometry.area(cs))}')
-    table = "\n".join(lines) + "\n"
-    print(table, end="")
-    if args.out:
-        _write(args.out, "geometry.csv", table)
+    _emit(args.out, "geometry.csv", lines)
     return EXIT_OK
 
 
@@ -100,10 +105,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         ideal = geometry.ideal_force(p, spec.cross_section)
         lv = loss.loss_fraction(p, spec.loss_model)
         lines.append(f"{_fmt(p)},{_fmt(ideal)},{_fmt(force)},{_fmt(lv.fraction)},{int(lv.extrapolated)}")
-    table = "\n".join(lines) + "\n"
-    print(table, end="")
-    if args.out:
-        _write(args.out, "predict.csv", table)
+    _emit(args.out, "predict.csv", lines)
     return EXIT_OK
 
 
@@ -146,9 +148,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             f"{csv_field(shape_id)},{_fmt(window[0])},{_fmt(window[1])},"
             f"{rep.slope_per_kpa:.6f},{rep.intercept:.6f},{_fmt(rep.r_squared)}"
         )
-    fit_csv = "\n".join(fit_lines) + "\n"
-    print(fit_csv, end="")
-    _write(args.out, "fit_report.csv", fit_csv)
+    _emit(args.out, "fit_report.csv", fit_lines)
     # comparison table against one fit pooled over all shapes
     pooled = sweep.fit_linear_loss([pt for s in series.values() for pt in s], window)
     report = sweep.comparison_report(table, shapes, pooled.as_model())

@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from ._lazy import np
-
 #: Most rows a simulation trace or a synthetic sweep may hold, checked before allocating.
 MAX_ROWS = 10_000_000
 

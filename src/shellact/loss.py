@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._lazy import np
-from .geometry import Circle, CrossSection, RoundedRectangle, ideal_force, reject
+from .geometry import Circle, CrossSection, RoundedRectangle, _require_positive, ideal_force, reject
 
 
 def _exp(x):
@@ -115,10 +115,8 @@ class ActuatorSpec:
         if not isinstance(self.allow_extrapolation, bool):  # bool("no") would be True
             raise ValueError("allow_extrapolation must be true or false, "
                              f"got {self.allow_extrapolation!r}")
-        if not (math.isfinite(self.max_pressure_kpa) and self.max_pressure_kpa > 0.0):
-            raise ValueError(f"max_pressure_kpa must be positive, got {self.max_pressure_kpa!r}")
-        if not (math.isfinite(self.stroke_mm) and self.stroke_mm > 0.0):
-            raise ValueError(f"stroke_mm must be positive, got {self.stroke_mm!r}")
+        _require_positive("max_pressure_kpa", self.max_pressure_kpa)
+        _require_positive("stroke_mm", self.stroke_mm)
         if self.max_pressure_kpa > self.loss_model.valid_range_kpa[1] and not self.allow_extrapolation:
             raise ValueError(
                 f"max_pressure_kpa {self.max_pressure_kpa} exceeds the loss model's "
@@ -145,16 +143,12 @@ def predicted_force(pressure_kpa, spec: ActuatorSpec):
     return ideal * (1.0 - loss_fraction(pressure_kpa, spec.loss_model).fraction)
 
 
-def loss_from_measurement(
-    pressure_kpa: float, cs: CrossSection, measured_force_n: float
-) -> float:
-    """Back-calculate the loss fraction from a measured force.
+def loss_from_measurement(pressure_kpa, cs: CrossSection, measured_force_n):
+    """Back-calculate the loss fraction from a measured force, for a float or an array.
 
     The result is deliberately not clamped: a measurement above the ideal
     force yields a negative loss, which flags bad data instead of hiding it.
     """
-    if pressure_kpa <= 0.0:
-        raise ValueError("loss is undefined at zero pressure")
-    if measured_force_n < 0.0:
-        raise ValueError(f"measured force must be >= 0, got {measured_force_n!r}")
+    reject(pressure_kpa, pressure_kpa <= 0.0, "loss is undefined at zero pressure")
+    reject(measured_force_n, measured_force_n < 0.0, "measured force must be >= 0, got {!r}")
     return 1.0 - measured_force_n / ideal_force(pressure_kpa, cs)

@@ -4,8 +4,8 @@ The generator plays the role of the physical rig: it walks the sweep
 protocol, evaluates the ground-truth actuator model at each step, adds
 Gaussian measurement noise, and emits the same CSV format the ingestion
 side reads. Below the pre-pressurization knee the bladder is still filling
-the shell cavity, so the loss is blended linearly from a configurable
-start value down to the model's value at the knee.
+the shell cavity, so the loss is blended linearly from
+:data:`PRE_KNEE_START_LOSS` at the protocol start down to the model's value at the knee.
 
 The random stream is a single seeded PCG64 drawn once for the whole
 sweep's noise, a [shapes, pressures, trials] array with shapes sorted by id
@@ -27,6 +27,9 @@ from .sweep import SweepDataset, SweepProtocol, write_measurements_csv  # cli wr
 #: Conditioning cycles the rig runs before a sweep, recorded in the CSV provenance.
 CONDITIONING_CYCLES = 10
 
+#: Ground-truth loss at the protocol start, blended down to the model's loss at the knee.
+PRE_KNEE_START_LOSS = 0.70
+
 
 @dataclass(frozen=True)
 class RigConfig:
@@ -34,7 +37,6 @@ class RigConfig:
     protocol: SweepProtocol = field(default_factory=SweepProtocol)
     noise_sigma_n: float = 0.0
     pre_knee_kpa: float = 30.0
-    pre_knee_start_loss: float = 0.70
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -43,8 +45,6 @@ class RigConfig:
         if not 0.0 <= self.noise_sigma_n < math.inf:
             raise ValueError(f"noise_sigma_n must be finite and >= 0, got {self.noise_sigma_n!r}")
         object.__setattr__(self, "noise_sigma_n", abs(self.noise_sigma_n))  # -0.0 is zero noise
-        if not 0.0 <= self.pre_knee_start_loss <= 1.0:
-            raise ValueError("pre_knee_start_loss must be in [0, 1]")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         stop = self.protocol.stop_kpa
@@ -74,7 +74,7 @@ def _config_digest(cfg: RigConfig) -> str:
         "protocol": repr(cfg.protocol),
         "noise_sigma_n": cfg.noise_sigma_n,
         "pre_knee_kpa": cfg.pre_knee_kpa,
-        "pre_knee_start_loss": cfg.pre_knee_start_loss,
+        "pre_knee_start_loss": PRE_KNEE_START_LOSS,
         "seed": cfg.seed,
         "conditioning_cycles": CONDITIONING_CYCLES,
     }
@@ -84,7 +84,7 @@ def _config_digest(cfg: RigConfig) -> str:
 def true_loss(cfg: RigConfig, spec: ActuatorSpec, pressure_kpa):
     """Ground-truth loss, blended linearly below the knee, at a float or an array of pressures."""
     model_loss = loss_fraction(pressure_kpa, spec.loss_model).fraction
-    knee, p0, start = cfg.pre_knee_kpa, cfg.protocol.start_kpa, cfg.pre_knee_start_loss
+    knee, p0, start = cfg.pre_knee_kpa, cfg.protocol.start_kpa, PRE_KNEE_START_LOSS
     if knee <= p0:
         return model_loss
     knee_loss = loss_fraction(knee, spec.loss_model).fraction

@@ -27,15 +27,13 @@ _ML, _MR, _MT, _MB = 60, 20, 30, 45  # margins
 _PAD = 0xFF  # a text-rows cell that holds no byte of the text
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    span = hi - lo
-    # spans too small for floats to resolve: span / n can underflow to 0.0,
+def _ticks(lo: float, hi: float) -> list[float]:
+    span = hi - lo  # line_chart_svg widens a zero span
+    # spans too small for floats to resolve: span / 5 can underflow to 0.0,
     # and a step below half an ulp of t would never move t
-    step = 10 ** math.floor(math.log10(max(span / n, sys.float_info.min)))
+    step = 10 ** math.floor(math.log10(max(span / 5, sys.float_info.min)))
     for mult in (1, 2, 5, 10):
-        if span / (step * mult) <= n:
+        if span / (step * mult) <= 5:
             step *= mult
             break
     first = math.ceil(lo / step) * step

@@ -241,18 +241,18 @@ def fit_linear_loss(
 
     r^2 is the coefficient of determination 1 - SS_res/SS_tot about the
     mean loss; SS_tot == 0 (all losses identical) yields r^2 = 1 when the
-    residuals are also zero. ``label`` names the series in the ValueError for
-    losses too large to square.
+    residuals are also zero. ``label`` names the series in each ValueError
+    about its points.
     """
     _check_valid_range(window_kpa, "window_kpa")  # the window becomes the fitted model's range
     lo, hi = window_kpa
     pts = sorted((p, y) for p, y in series if lo <= p <= hi)
     if len(pts) < 3:
-        raise ValueError(f"need >= 3 points inside window [{lo}, {hi}], got {len(pts)}")
+        raise ValueError(f"{label}: need >= 3 points inside window [{lo}, {hi}], got {len(pts)}")
     xs = [p for p, _ in pts]
     ys = [y for _, y in pts]
     if len(set(xs)) < 2:
-        raise ValueError("all pressures identical; slope is unconstrained")
+        raise ValueError(f"{label}: all pressures identical; slope is unconstrained")
     n = len(pts)
     try:
         mx = math.fsum(xs) / n

@@ -228,6 +228,15 @@ class TestGenerateAndFit:
         polylines = root.findall(".//{http://www.w3.org/2000/svg}polyline")
         assert len(polylines) == 4
 
+    def test_window_with_too_few_points_exits_2_naming_the_shape(self, tmp_path, capsys):
+        assert run(["generate", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        argv = ["fit", "--input", str(tmp_path / "measurements.csv"), "--window", "55", "60"]
+        assert run([*argv, "--out", str(tmp_path / "fit")]) == 2
+        assert capsys.readouterr() == ("", "error: shape 'circle': need >= 3 points "
+                                           "inside window [55.0, 60.0], got 2\n")
+        assert not (tmp_path / "fit").exists()
+
     def test_missing_input_exits_2(self, tmp_path):
         assert run(["fit", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path)]) == 2
 

@@ -104,6 +104,22 @@ class TestLossFromMeasurement:
         with pytest.raises(ValueError, match="^loss is undefined at zero pressure$"):
             loss_from_measurement(0.0, Circle(25.0), 10.0)
 
+    def test_array_equals_scalar_calls(self):
+        cs = Circle(25.0)
+        pressures = [30.0, 37.5, 45.0, 60.0, 1e-300]
+        forces = [60.0, 0.0, 91.66, 150.0, 1e-303]  # 150 N lies above P*A: a negative loss
+        scalar = [loss_from_measurement(p, cs, f) for p, f in zip(pressures, forces)]
+        assert loss_from_measurement(np.array(pressures), cs, np.array(forces)).tolist() == scalar
+
+    @pytest.mark.parametrize("pressures, forces, message", [
+        ([30.0, 0.0, 60.0], [10.0, 10.0, 10.0], "loss is undefined at zero pressure"),
+        ([30.0, -5.0], [10.0, 10.0], "loss is undefined at zero pressure"),
+        ([30.0, 60.0], [10.0, -1.5], "measured force must be >= 0, got -1.5"),
+    ])
+    def test_array_refusal_names_the_first_bad_value(self, pressures, forces, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            loss_from_measurement(np.array(pressures), Circle(25.0), np.array(forces))
+
     @given(st.floats(min_value=30.0, max_value=60.0))
     def test_round_trip_with_prediction(self, p):
         spec = balloon_spec()
@@ -129,6 +145,13 @@ class TestActuatorSpec:
     def test_stroke_positive(self):
         with pytest.raises(ValueError):
             ActuatorSpec(Circle(25.0), BALLOON_LOSS, stroke_mm=0.0)
+
+    @pytest.mark.parametrize("name", ["max_pressure_kpa", "stroke_mm"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_limit_must_be_positive_and_finite(self, name, value):
+        message = f"{name} must be positive and finite, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ActuatorSpec(Circle(25.0), BALLOON_LOSS, **{name: value})
 
     def test_bad_valid_range(self):
         with pytest.raises(ValueError):

@@ -77,10 +77,6 @@ class TestPreKneeRegime:
         losses = [true_loss(cfg, spec, p) for p in (5.0, 10.0, 15.0, 20.0, 25.0, 30.0)]
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
-    def test_custom_start_loss(self):
-        cfg = make_cfg(pre_knee_start_loss=0.5)
-        assert true_loss(cfg, GROUND_TRUTH["circle"], 5.0) == pytest.approx(0.5)
-
     @pytest.mark.parametrize("spec", [GROUND_TRUTH["circle"], engineered_spec()],
                              ids=["linear", "exponential"])
     @pytest.mark.parametrize("knee", [30.0, 5.0, 2.0], ids=["knee-30", "knee-at-start", "knee-2"])

@@ -330,11 +330,11 @@ class TestFitLinearLoss:
             fit_linear_loss(EXACT_POINTS, window)
 
     def test_insufficient_points(self):
-        with pytest.raises(ValueError, match=r"^need >= 3 points inside window \[30.0, 60.0\], got 2"):
+        with pytest.raises(ValueError, match=r"^pooled series: need >= 3 points inside window \[30.0, 60.0\], got 2"):
             fit_linear_loss(EXACT_POINTS[:2])
 
     def test_degenerate_pressures(self):
-        with pytest.raises(ValueError, match="^all pressures identical; slope is unconstrained$"):
+        with pytest.raises(ValueError, match="^pooled series: all pressures identical; slope is unconstrained$"):
             fit_linear_loss([(40.0, 0.3), (40.0, 0.31), (40.0, 0.32)])
 
     def test_overflowing_losses_name_the_series(self):
