@@ -33,7 +33,7 @@ from typing import NamedTuple
 from ._lazy import np
 from .geometry import MAX_ROWS, reject
 from .loss import ActuatorSpec, engineered_spec, predicted_force
-from .svgchart import byte_rows, csv_field, fixed_text, join_rows
+from .svgchart import byte_rows, csv_field, fixed_text, text_table
 
 
 class Site(Enum):
@@ -267,10 +267,10 @@ def write_trace_csv(trace: SimulationTrace) -> str:
     ids = byte_rows([csv_field(aid) for aid in trace.actuator_ids])
     per_step = (trace.t_s, trace.moment_nm)
     per_actuator = (trace.commanded_kpa, trace.actual_kpa, trace.force_n)
-    parts = [",".join(TRACE_HEADER) + "\n"]
-    for start in range(0, len(trace.t_s), _CHUNK_STEPS):
-        rows = slice(start, start + _CHUNK_STEPS)
+
+    def fields(rows: slice) -> list[np.ndarray]:
         t, moment = (fixed_text(x[rows], 4).repeat(len(ids), 0) for x in per_step)
         columns = (fixed_text(x[rows], 4) for x in per_actuator)
-        parts.append(join_rows([t, np.tile(ids, (len(t) // len(ids), 1)), *columns, moment]))
-    return "".join(parts)
+        return [t, np.tile(ids, (len(t) // len(ids), 1)), *columns, moment]
+
+    return text_table(",".join(TRACE_HEADER) + "\n", len(trace.t_s), _CHUNK_STEPS, fields)

@@ -37,6 +37,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 MAX_MESSAGE = 1000  # characters of an error line before the rest is cut
+_WRITE_SLICE = 8192  # TextIOWrapper's chunk size: it writes an ASCII str up to this long uncopied
 
 
 class _UsageError(Exception):
@@ -69,7 +70,8 @@ def _write(out_dir: str, name: str, content: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(content)
+        for start in range(0, len(content), _WRITE_SLICE):
+            fh.write(content[start:start + _WRITE_SLICE])
     return path
 
 

@@ -36,13 +36,6 @@ def reject(values, bad, message: str, *args) -> None:
         raise ValueError(message.format(values, *args))
 
 
-def check_pressure(p) -> None:
-    """Validate supply pressures in kPa (a float or an array): finite and non-negative."""
-    # negative, NaN (p != p) or infinite; plain comparisons keep floats off numpy
-    reject(p, (p < 0.0) | (p != p) | (p == math.inf),
-           "pressure must be a finite non-negative kPa value, got {!r}")
-
-
 def _require_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
@@ -153,11 +146,13 @@ def equal_area_family(
 
 
 def ideal_force(pressure_kpa, cs: CrossSection):
-    """Lossless force P*A in newtons for supply pressures (a float or an array)."""
-    check_pressure(pressure_kpa)
+    """Lossless force P*A in newtons for finite non-negative pressures (a float or an array)."""
+    p = pressure_kpa  # negative, NaN (p != p) or infinite; plain comparisons keep floats off numpy
+    reject(p, (p < 0.0) | (p != p) | (p == math.inf),
+           "pressure must be a finite non-negative kPa value, got {!r}")
     a = area(cs)
     # the largest pressure overflows first; as a float it does so without a numpy warning
-    p = pressure_kpa.max(initial=0.0).item() if getattr(pressure_kpa, "ndim", 0) else pressure_kpa
+    p = p.max(initial=0.0).item() if getattr(p, "ndim", 0) else p
     if not p * a * _KPA_MM2_TO_N < math.inf:  # inf, or NaN from 0 kPa on an infinite area
         raise ValueError(f"P*A overflows the float range: pressure {p!r} kPa, area {a!r} mm^2")
     return pressure_kpa * a * _KPA_MM2_TO_N

@@ -6,7 +6,8 @@ One polyline per series, fixed palette, fixed coordinate formatting.
 Coordinates are array math, one series at a time. The text of the polyline
 points, and of the trace, measurement and comparison CSVs, comes from one
 kernel: ``fixed_text`` builds each number's exact ``format`` text as a row of
-bytes with array arithmetic, and ``join_rows`` joins such rows into lines.
+bytes with array arithmetic, ``join_rows`` joins such rows into lines, and
+``text_table`` appends those lines a chunk of rows at a time to one text.
 A text-rows array is uint8 [n, w], one UTF-8 byte per cell; the byte 0xFF,
 which UTF-8 never contains, marks padding, so a NUL byte of a text is kept.
 """
@@ -113,6 +114,19 @@ def join_rows(fields: list[np.ndarray], sep: str = ",", end: str = "\n") -> str:
     return cells[cells != _PAD].tobytes().decode()
 
 
+def text_table(head: str, n: int, chunk: int, fields) -> str:
+    """``head``, then ``join_rows(fields(rows))`` for each slice ``rows`` of ``chunk`` of ``n`` rows.
+
+    The text is one local ``str`` grown by ``+=``. CPython grows a ``str`` in place while one
+    name holds its only reference, so the table is never held as chunks plus their join;
+    another interpreter gives the same text and only holds more memory while building it.
+    """
+    text = head
+    for start in range(0, n, chunk):
+        text += join_rows(fields(slice(start, start + chunk)))
+    return text
+
+
 _XML_TEXT = {ord("&"): "&amp;", ord("<"): "&lt;", ord(">"): "&gt;", **{
     c: repr(chr(c))[1:-1] for c in [*range(9), 11, 12, *range(14, 32), 0xFFFE, 0xFFFF]}}
 
@@ -144,7 +158,8 @@ def line_chart_svg(series: dict, title: str, x_label: str, y_label: str) -> str:
     def py(y):
         return _H - _MB - (y - ys_lo) / (ys_hi - ys_lo) * (_H - _MT - _MB)
 
-    parts = [
+    # one str grown in place (see text_table): the document is never held as lines plus their join
+    text = "\n".join([
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
@@ -158,30 +173,30 @@ def line_chart_svg(series: dict, title: str, x_label: str, y_label: str) -> str:
         f'font-size="12">{_escape(x_label)}</text>',
         f'<text x="14" y="{(_MT + _H - _MB) / 2:.1f}" text-anchor="middle" font-size="12" '
         f'transform="rotate(-90 14 {(_MT + _H - _MB) / 2:.1f})">{_escape(y_label)}</text>',
-    ]
+        "",
+    ])
     for tx in _ticks(xs_lo, xs_hi):
-        parts.append(
+        text += (
             f'<text x="{px(tx):.2f}" y="{_H - _MB + 16}" text-anchor="middle" '
-            f'font-size="10">{tx:g}</text>'
+            f'font-size="10">{tx:g}</text>\n'
         )
     for ty in _ticks(ys_lo, ys_hi):
-        parts.append(
+        text += (
             f'<text x="{_ML - 6}" y="{py(ty):.2f}" text-anchor="end" '
-            f'font-size="10">{ty:g}</text>'
+            f'font-size="10">{ty:g}</text>\n'
         )
     for i, (label, pts) in enumerate(zip(series, arrays)):
         color = _PALETTE[i % len(_PALETTE)]
         xs, ys = pts.T
         if not np.all(xs[1:] > xs[:-1]):  # x that rises strictly is in order; a NaN x is not
             xs, ys = pts[np.lexsort((ys, xs))].T  # by x, then y
-        text = fixed_text([px(xs), py(ys)], 2)  # the x rows, then the y rows
-        coords = join_rows([text[:len(xs)], text[len(xs):]], ",", " ")[:-1]
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>'
-        )
-        parts.append(
+        rows = fixed_text([px(xs), py(ys)], 2)  # the x rows, then the y rows
+        text += f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="'
+        text += join_rows([rows[:len(xs)], rows[len(xs):]], ",", " ")[:-1]
+        text += (
+            '"/>\n'
             f'<text x="{_W - _MR - 5}" y="{_MT + 14 * (i + 1)}" text-anchor="end" '
-            f'font-size="11" fill="{color}">{_escape(label)}</text>'
+            f'font-size="11" fill="{color}">{_escape(label)}</text>\n'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    text += "</svg>\n"
+    return text

@@ -24,20 +24,13 @@ from typing import BinaryIO, NamedTuple
 from ._lazy import np
 from .geometry import CrossSection, ideal_force, reject
 from .loss import LinearLoss, LossModel, _check_valid_range, loss_fraction, loss_from_measurement
-from .svgchart import byte_rows, csv_field, fixed_text, join_rows
+from .svgchart import byte_rows, csv_field, fixed_text, join_rows, text_table
 
 #: Highest step pressure in kPa: the rig's 3D-printed parts are not rated beyond it.
 RIG_CAP_KPA = 60.0
 
 MEASUREMENT_HEADER = ["shape_id", "pressure_kpa", "trial", "force_n"]
-REPORT_HEADER = [
-    "shape_id",
-    "pressure_kpa",
-    "ideal_force_n",
-    "predicted_force_n",
-    "mean_measured_force_n",
-    "loss_fraction",
-]
+REPORT_HEADER = "shape_id,pressure_kpa,ideal_force_n,predicted_force_n,mean_measured_force_n,loss_fraction"
 
 
 @dataclass(frozen=True)
@@ -279,7 +272,7 @@ def comparison_report(table: StepTable, shapes: dict[str, CrossSection], fitted:
     frac = loss_fraction(table.pressure_kpa, fitted).fraction
     numbers = (table.pressure_kpa, ideal, ideal * (1.0 - frac), table.mean_force_n, loss)
     ids = byte_rows([csv_field(shape_id) for shape_id in table.shape_id])
-    return ",".join(REPORT_HEADER) + "\n" + join_rows([ids, *(fixed_text(c, 4) for c in numbers)])
+    return REPORT_HEADER + "\n" + join_rows([ids, *(fixed_text(c, 4) for c in numbers)])
 
 
 # --- CSV I/O ---------------------------------------------------------------
@@ -293,16 +286,11 @@ def write_measurements_csv(ds: SweepDataset) -> str:
 
     Rows are built as byte rows a chunk at a time; each shape id is quoted once.
     """
-    buf = io.StringIO()
-    for line in ds.provenance:
-        buf.write(f"# {line}\n")
-    buf.write(",".join(MEASUREMENT_HEADER) + "\n")
+    head = "".join(f"# {line}\n" for line in ds.provenance) + ",".join(MEASUREMENT_HEADER) + "\n"
     ids = byte_rows([csv_field(name) for name in ds.shape_names])
-    for start in range(0, len(ds.force_n), _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        buf.write(join_rows([ids[ds.shape_code[rows]], fixed_text(ds.pressure_kpa[rows], 4),
-                             fixed_text(ds.trial[rows]), fixed_text(ds.force_n[rows], 4)]))
-    return buf.getvalue()
+    return text_table(head, len(ds.force_n), _CHUNK_ROWS, lambda rows: [
+        ids[ds.shape_code[rows]], fixed_text(ds.pressure_kpa[rows], 4),
+        fixed_text(ds.trial[rows]), fixed_text(ds.force_n[rows], 4)])
 
 
 def _utf8(latin1: str) -> str:

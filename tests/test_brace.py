@@ -370,6 +370,18 @@ class TestTraceCsv:
             monkeypatch.setattr(brace, "_CHUNK_STEPS", chunk)
             assert write_trace_csv(trace) == whole
 
+    def test_writer_holds_the_text_once(self):
+        # 12,000 steps are 24 chunks; the chunks plus their join put the traced peak at 2x the text
+        trace = run_gait_cycle(default_layout(), default_valgus_schedule(), 1.2, 0.001, n_cycles=10)
+        tracemalloc.start()
+        try:
+            text = write_trace_csv(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk = len(text) * brace._CHUNK_STEPS / len(trace.t_s)
+        assert peak < 1.25 * len(text) + 4 * chunk, (peak, len(text))
+
     def test_actuator_ids_quoted_once(self):
         quoted = 'knee "a,b"'
         layout = BraceLayout(tuple(

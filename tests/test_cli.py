@@ -8,6 +8,7 @@ import re
 import resource
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from shellact import configio
 from shellact.brace import default_layout, default_valgus_schedule
-from shellact.cli import build_parser, main
+from shellact.cli import _write, build_parser, main
 from shellact.geometry import equal_area_family
 from config_writer import cross_section_to_dict, dump_yaml, layout_to_dict, schedule_to_dict
 
@@ -875,6 +876,25 @@ class TestFuzz:
         config = replaced(config, path, data.draw(YAML_VALUES))
         (out / "fuzz.yaml").write_text(yaml.safe_dump(config))
         assert run(config_argv(flag, out / "fuzz.yaml", one_trial_csv, out / "cfg")) in (0, 1, 2)
+
+
+class TestWrite:
+    def test_ascii_text_written_without_a_whole_copy(self, tmp_path):
+        text = "0123456789,abcdef\n" * 230_000  # 4.1 MB; one write() of it encodes a full copy
+        tracemalloc.start()
+        try:
+            path = _write(str(tmp_path), "t.csv", text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
+        assert Path(path).read_bytes() == text.encode()
+
+    def test_multibyte_characters_across_slice_edges(self, tmp_path):
+        # slices of 8,192 characters end inside runs of 2-, 3- and 4-byte UTF-8 characters
+        text = "a" * 8191 + "é€\U0001f600\r\n" * 5000
+        assert Path(_write(str(tmp_path), "t.csv", text)).read_bytes() == text.encode()
+
 
 class TestSimulate:
     def test_default_simulation(self, tmp_path, capsys):

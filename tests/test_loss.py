@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from shellact.geometry import Circle, RoundedRectangle, check_pressure, ideal_force
+from shellact.geometry import Circle, RoundedRectangle, ideal_force
 from shellact.loss import (
     BALLOON_LOSS,
     ENGINEERED_LOSS,
@@ -199,17 +199,17 @@ class TestArrayEvaluation:
 
     def test_bad_pressures_name_offender(self):
         with pytest.raises(ValueError, match="got nan"):
-            check_pressure(np.array([[1.0, 2.0], [math.nan, -1.0]]))
+            ideal_force(np.array([[1.0, 2.0], [math.nan, -1.0]]), Circle(25.0))
         with pytest.raises(ValueError, match="got -1.0"):
-            check_pressure(np.array([1.0, -1.0, math.inf]))
+            ideal_force(np.array([1.0, -1.0, math.inf]), Circle(25.0))
         with pytest.raises(ValueError, match="got inf"):
             ideal_force(np.array([1.0, math.inf]), Circle(25.0))
 
     def test_scalar_errors_unchanged(self):
         with pytest.raises(ValueError, match="got -5$"):
-            check_pressure(-5)
+            ideal_force(-5, Circle(25.0))
         with pytest.raises(ValueError, match="got nan"):
-            check_pressure(math.nan)
+            ideal_force(math.nan, Circle(25.0))
         with pytest.raises(ValueError, match="pressure 61 kPa exceeds actuator max"):
             predicted_force(61, balloon_spec())
 
@@ -238,7 +238,8 @@ class TestInputKindParity:
     @pytest.mark.parametrize("p, shown", NEGATIVE_BY_KIND)
     def test_negative_pressure(self, p, shown):
         want = f"pressure must be a finite non-negative kPa value, got {shown}"
-        for call in (check_pressure, lambda x: predicted_force(x, balloon_spec())):
+        for call in (lambda x: ideal_force(x, Circle(25.0)),
+                     lambda x: predicted_force(x, balloon_spec())):
             with pytest.raises(ValueError) as exc:
                 call(p)
             assert type(exc.value) is ValueError and str(exc.value) == want

@@ -428,6 +428,18 @@ class TestCsvRoundTrip:
         for a, b in zip(rows_of(ds), rows_of(back)):
             assert b[3] == pytest.approx(a[3], abs=5e-5)
 
+    def test_writer_holds_the_text_once(self):
+        # 96k rows are 24 chunks; a StringIO and its getvalue() put the traced peak at 2x the text
+        ds = generate_sweep(rig_config(list(SHAPES), 2000, 0, 0.5))
+        tracemalloc.start()
+        try:
+            text = write_measurements_csv(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk = len(text) * _CHUNK_ROWS / len(ds.force_n)
+        assert peak < 1.25 * len(text) + 4 * chunk, (peak, len(text))
+
     def test_provenance_comments_preserved(self):
         ds = dataset([("c", 30.0, 1, 10.0)], ("seed: 42",))
         text = write_measurements_csv(ds)
