@@ -3,9 +3,10 @@
 The generator plays the role of the physical rig: it walks the sweep
 protocol, evaluates the ground-truth actuator model at each step, adds
 Gaussian measurement noise, and emits the same CSV format the ingestion
-side reads. Below the pre-pressurization knee the bladder is still filling
-the shell cavity, so the loss is blended linearly from
-:data:`PRE_KNEE_START_LOSS` at the protocol start down to the model's value at the knee.
+side reads. Below the pre-pressurization knee, the loss model's lower valid
+bound, the bladder is still filling the shell cavity, so the loss is blended
+linearly from :data:`PRE_KNEE_START_LOSS` at the first step down to the model's
+value at the knee. A model valid from the first step on has no blend.
 
 The random stream is a single seeded PCG64 drawn once for the whole
 sweep's noise, a [shapes, pressures, trials] array with shapes sorted by id
@@ -22,12 +23,12 @@ from dataclasses import dataclass, field
 from ._lazy import np
 from .geometry import MAX_ROWS, ideal_force, reject
 from .loss import ActuatorSpec, loss_fraction
-from .sweep import SweepDataset, SweepProtocol, write_measurements_csv  # cli writes by rig's name
+from .sweep import STEP_KPA, SweepDataset, SweepProtocol, write_measurements_csv  # cli writes by rig's name
 
 #: Conditioning cycles the rig runs before a sweep, recorded in the CSV provenance.
 CONDITIONING_CYCLES = 10
 
-#: Ground-truth loss at the protocol start, blended down to the model's loss at the knee.
+#: Ground-truth loss at the first step, blended down to the model's loss at the knee.
 PRE_KNEE_START_LOSS = 0.70
 
 
@@ -36,7 +37,6 @@ class RigConfig:
     ground_truth: dict[str, ActuatorSpec]
     protocol: SweepProtocol = field(default_factory=SweepProtocol)
     noise_sigma_n: float = 0.0
-    pre_knee_kpa: float = 30.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -60,7 +60,7 @@ class RigConfig:
 
 def default_noise_sigma_n(cfg_ground_truth: dict[str, ActuatorSpec], protocol: SweepProtocol) -> float:
     """1% of the mid-sweep ideal force, averaged over the configured shapes."""
-    mid = (protocol.start_kpa + protocol.stop_kpa) / 2.0
+    mid = (STEP_KPA + protocol.stop_kpa) / 2.0
     ideals = [ideal_force(mid, spec.cross_section) for spec in cfg_ground_truth.values()]
     return 0.01 * math.fsum(ideals) / len(ideals)
 
@@ -73,22 +73,19 @@ def _config_digest(cfg: RigConfig) -> str:
         "shapes": {sid: repr(spec) for sid, spec in sorted(cfg.ground_truth.items())},
         "protocol": repr(cfg.protocol),
         "noise_sigma_n": cfg.noise_sigma_n,
-        "pre_knee_kpa": cfg.pre_knee_kpa,
-        "pre_knee_start_loss": PRE_KNEE_START_LOSS,
         "seed": cfg.seed,
-        "conditioning_cycles": CONDITIONING_CYCLES,
     }
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def true_loss(cfg: RigConfig, spec: ActuatorSpec, pressure_kpa):
-    """Ground-truth loss, blended linearly below the knee, at a float or an array of pressures."""
+def true_loss(spec: ActuatorSpec, pressure_kpa):
+    """The model's loss at a float or an array of pressures, blended linearly below the knee."""
     model_loss = loss_fraction(pressure_kpa, spec.loss_model).fraction
-    knee, p0, start = cfg.pre_knee_kpa, cfg.protocol.start_kpa, PRE_KNEE_START_LOSS
-    if knee <= p0:
+    knee, start = spec.loss_model.valid_range_kpa[0], PRE_KNEE_START_LOSS
+    if knee <= STEP_KPA:
         return model_loss
     knee_loss = loss_fraction(knee, spec.loss_model).fraction
-    blend = start + (knee_loss - start) * ((pressure_kpa - p0) / (knee - p0))
+    blend = start + (knee_loss - start) * ((pressure_kpa - STEP_KPA) / (knee - STEP_KPA))
     return np.where(pressure_kpa >= knee, model_loss, blend)[()]
 
 
@@ -102,7 +99,7 @@ def generate_sweep(cfg: RigConfig) -> SweepDataset:
     reject(rows, rows > MAX_ROWS,
            "a sweep of {} rows exceeds the cap of {} rows", MAX_ROWS)
     specs = [cfg.ground_truth[name] for name in names]
-    clean = np.array([ideal_force(pressures, s.cross_section) * (1.0 - true_loss(cfg, s, pressures))
+    clean = np.array([ideal_force(pressures, s.cross_section) * (1.0 - true_loss(s, pressures))
                       for s in specs])
     # sigma 0 draws zeros: the noise is 0.0 + 0.0 * z
     force = rng.normal(0.0, cfg.noise_sigma_n, (len(names), len(pressures), trials))

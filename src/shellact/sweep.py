@@ -29,36 +29,29 @@ from .svgchart import byte_rows, csv_field, fixed_text, join_rows, text_table
 #: Highest step pressure in kPa: the rig's 3D-printed parts are not rated beyond it.
 RIG_CAP_KPA = 60.0
 
+#: Pressure step of every sweep in kPa; the first step is one step above zero.
+STEP_KPA = 5.0
+
 MEASUREMENT_HEADER = ["shape_id", "pressure_kpa", "trial", "force_n"]
 REPORT_HEADER = "shape_id,pressure_kpa,ideal_force_n,predicted_force_n,mean_measured_force_n,loss_fraction"
 
 
 @dataclass(frozen=True)
 class SweepProtocol:
-    """Stepwise pressurization protocol: start..stop in fixed increments."""
+    """Stepwise pressurization: ``trials`` at each multiple of STEP_KPA up to ``stop_kpa``."""
 
-    start_kpa: float = 5.0
-    step_kpa: float = 5.0
-    stop_kpa: float = 60.0
+    stop_kpa: float = RIG_CAP_KPA
     trials: int = 3
 
     def __post_init__(self) -> None:
-        if not self.step_kpa > 0.0:  # NaN fails it too
-            raise ValueError(f"step_kpa must be > 0, got {self.step_kpa!r}")
-        for name in ("start_kpa", "step_kpa", "stop_kpa"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not 0.0 < self.start_kpa <= self.stop_kpa:
-            raise ValueError(
-                f"need 0 < start_kpa <= stop_kpa, got {self.start_kpa!r} and {self.stop_kpa!r}"
-            )
+        if not STEP_KPA <= self.stop_kpa < math.inf:  # NaN fails it too
+            raise ValueError(f"stop_kpa must be finite and >= {STEP_KPA}, got {self.stop_kpa!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials!r}")
 
     def pressures(self) -> list[float]:
-        """start, start + step, ... up to stop; never past stop when the step does not divide."""
-        n = math.floor((self.stop_kpa - self.start_kpa) / self.step_kpa + 1e-9)
-        return [self.start_kpa + i * self.step_kpa for i in range(n + 1)]
+        """STEP_KPA * i for i = 1, 2, ... while at most stop_kpa."""
+        return [STEP_KPA * i for i in range(1, int(self.stop_kpa // STEP_KPA) + 1)]
 
 
 class StepTable(NamedTuple):

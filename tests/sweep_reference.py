@@ -74,7 +74,7 @@ def generate_records(cfg):
         spec = cfg.ground_truth[shape_id]
         for p in cfg.protocol.pressures():
             ideal = ideal_force(p, spec.cross_section)
-            clean = ideal * (1.0 - true_loss(cfg, spec, p))
+            clean = ideal * (1.0 - true_loss(spec, p))
             for trial in range(1, cfg.protocol.trials + 1):
                 noise = rng.normal(0.0, cfg.noise_sigma_n) if cfg.noise_sigma_n > 0.0 else 0.0
                 records.append(MeasurementRecord(shape_id, p, trial, max(0.0, clean + noise)))

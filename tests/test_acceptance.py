@@ -164,11 +164,11 @@ def test_criterion_8_byte_determinism(tmp_path):
 
 def test_criterion_9_engineered_anchor_recovered():
     # the engineered actuator's 3 % loss at 50 kPa, recovered by generate -> fit of
-    # (P, ln loss): amplitude e**intercept, decay -slope; pre_knee_kpa 0 turns the blend off
+    # (P, ln loss): amplitude e**intercept, decay -slope
     spec, protocol = engineered_spec(), SweepProtocol(stop_kpa=50.0)
 
     def recovered(sigma, seed):
-        cfg = RigConfig({"eng": spec}, protocol, noise_sigma_n=sigma, pre_knee_kpa=0.0, seed=seed)
+        cfg = RigConfig({"eng": spec}, protocol, noise_sigma_n=sigma, seed=seed)
         series = compute_loss_series(generate_sweep(cfg).aggregates(), {"eng": spec.cross_section})
         rep = fit_linear_loss([(p, math.log(y)) for p, y in series["eng"]], (5.0, 50.0))
         amplitude, decay = math.exp(rep.intercept), -rep.slope_per_kpa

@@ -20,7 +20,7 @@ SIMULATE_10_CYCLES = {
     "trace.svg": "a702f24a18d68a6f082a3944bcefd1d4ee9e23b5e2c1e55d1145b140832106af",
 }
 GENERATE = {
-    "measurements.csv": "fd96882646f9ad7a2cc297160ee4d4d418e313f7e89ce60cda92e8f00e3595dd",
+    "measurements.csv": "448d76295bdf96df04bfd6d1c5704e374ec440d0603f1dad43da85c0ded5902a",
 }
 FIT = {
     "fit_report.csv": "3a7ed74a2bb69c9065fabf26c6827c153740ea100bc8511303fcb24f6725dd8b",
@@ -28,10 +28,10 @@ FIT = {
     "loss_vs_pressure.svg": "d4ff5e77d35ac4bf88e77af74dc7835b3e6b1af0fb7a9bc4c93f4890a65488aa",
 }
 GENERATE_200_TRIALS_SEED_7 = {
-    "measurements.csv": "5829b8d42f8b400d1ff581a74969807ab51ab41e893f586c396cee9339440579",
+    "measurements.csv": "85617ff4636cc24c7314d7d57ad5b2204965ac2e1e65d7221976d5570015a098",
 }
 GENERATE_NOISELESS = {
-    "measurements.csv": "7cd506b2bf96e34ed631e8ce714ff8271a8c33de5675c36aa41f354f3c3bf843",
+    "measurements.csv": "835682b12cbfee95b2a25ff1fdeeec33e70b13becb7c06515f0d984e69eea2ea",
 }
 PREDICT = {"predict.csv": "61467e7b79f709afa37d472b701a63396501e6ac242c5bf2cfda83773e989ba2"}
 GEOMETRY = {"geometry.csv": "5f819dfd8fc855387ca9460a635e8b4ea6a8efce60334145be9823f9910e3d22"}

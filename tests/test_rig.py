@@ -1,7 +1,7 @@
 import io
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from shellact.geometry import Square, equal_area_family
 from shellact.loss import balloon_spec, engineered_spec, loss_fraction, predicted_force
 from shellact.rig import (
     RigConfig,
+    _config_digest,
     default_noise_sigma_n,
     generate_sweep,
     true_loss,
@@ -25,6 +26,12 @@ from sweep_reference import generate_records, rows_of
 
 SHAPES = dict(zip(["circle", "triangle", "square", "rectangle"], equal_area_family(25.0, 2.0)))
 GROUND_TRUTH = {sid: balloon_spec(cs) for sid, cs in SHAPES.items()}
+
+
+def valid_from(spec, lo):
+    """``spec`` with its loss model valid from ``lo`` kPa, where the rig's blend ends."""
+    hi = spec.loss_model.valid_range_kpa[1]
+    return replace(spec, loss_model=replace(spec.loss_model, valid_range_kpa=(lo, hi)))
 
 
 def make_cfg(**kw):
@@ -53,6 +60,15 @@ class TestZeroNoise:
                 expected = predicted_force(p, GROUND_TRUTH[shape_id])
                 assert force == pytest.approx(expected, abs=1e-12)
 
+    def test_engineered_records_on_model_from_the_first_step(self):
+        # its loss model is valid from 5 kPa, the first step, so there is nothing to blend
+        spec = engineered_spec()
+        cfg = make_cfg(ground_truth={"eng": spec}, protocol=SweepProtocol(stop_kpa=50.0))
+        ds = generate_sweep(cfg)
+        assert ds.pressure_kpa.tolist() == [5.0 * i for i in range(1, 11) for _ in range(3)]
+        for _, p, _, force in rows_of(ds):
+            assert force == pytest.approx(predicted_force(p, spec), abs=1e-12)
+
     def test_fit_recovers_ground_truth(self):
         ds = generate_sweep(make_cfg())
         series = compute_loss_series(ds.aggregates(), SHAPES)
@@ -65,29 +81,30 @@ class TestZeroNoise:
 
 class TestPreKneeRegime:
     def test_blend_endpoints(self):
-        cfg = make_cfg()
         spec = GROUND_TRUTH["circle"]
-        assert true_loss(cfg, spec, 5.0) == pytest.approx(0.70)
+        assert true_loss(spec, 5.0) == pytest.approx(0.70)
         knee_loss = loss_fraction(30.0, spec.loss_model).fraction
-        assert true_loss(cfg, spec, 30.0) == pytest.approx(knee_loss)
+        assert true_loss(spec, 30.0) == pytest.approx(knee_loss)
 
     def test_blend_is_monotone_down_to_knee(self):
-        cfg = make_cfg()
         spec = GROUND_TRUTH["circle"]
-        losses = [true_loss(cfg, spec, p) for p in (5.0, 10.0, 15.0, 20.0, 25.0, 30.0)]
+        losses = [true_loss(spec, p) for p in (5.0, 10.0, 15.0, 20.0, 25.0, 30.0)]
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
-    @pytest.mark.parametrize("spec", [GROUND_TRUTH["circle"], engineered_spec()],
-                             ids=["linear", "exponential"])
-    @pytest.mark.parametrize("knee", [30.0, 5.0, 2.0], ids=["knee-30", "knee-at-start", "knee-2"])
-    def test_array_equals_scalar(self, spec, knee):
-        cfg = make_cfg(pre_knee_kpa=knee)
-        # below, at and just around the knee, above it, and below the protocol start
+    # the knee is the loss model's lower valid bound: 30 kPa, the first step, below it
+    @pytest.mark.parametrize("spec", [
+        GROUND_TRUTH["circle"], valid_from(GROUND_TRUTH["circle"], 5.0),
+        valid_from(GROUND_TRUTH["circle"], 2.0), valid_from(engineered_spec(), 30.0),
+        engineered_spec(), valid_from(engineered_spec(), 2.0),
+    ], ids=["linear-30", "linear-5", "linear-2", "exponential-30", "exponential-5", "exponential-2"])
+    def test_array_equals_scalar(self, spec):
+        knee = spec.loss_model.valid_range_kpa[0]
+        # below, at and just around the knee, above it, and below the first step
         pressures = [1.0, 5.0, 12.5, 29.999999, 30.0, 30.000001, 45.0, 60.0]
-        losses = [true_loss(cfg, spec, p) for p in pressures]
-        assert true_loss(cfg, spec, np.array(pressures)).tolist() == losses
+        losses = [true_loss(spec, p) for p in pressures]
+        assert true_loss(spec, np.array(pressures)).tolist() == losses
         assert all(type(loss) in (float, np.float64) for loss in losses)
-        if knee <= cfg.protocol.start_kpa:  # nothing to blend: the model's loss throughout
+        if knee <= 5.0:  # nothing to blend: the model's loss throughout
             assert losses == [loss_fraction(p, spec.loss_model).fraction for p in pressures]
 
 
@@ -116,17 +133,19 @@ class TestColumns:
 
 class TestNoise:
     def test_residual_std_converges(self):
-        # 10^4 trials at one pressure: empirical sigma within 5% of configured
+        # 10^4 trials over 8 steps: the residuals about each step's clean force
+        # have an empirical sigma within 5% of configured
         sigma = 0.8
         cfg = make_cfg(
             ground_truth={"circle": GROUND_TRUTH["circle"]},
-            protocol=SweepProtocol(start_kpa=40.0, step_kpa=5.0, stop_kpa=40.0, trials=10_000),
+            protocol=SweepProtocol(stop_kpa=40.0, trials=1250),
             noise_sigma_n=sigma,
             seed=9,
         )
-        ds = generate_sweep(cfg)
-        forces = ds.force_n
-        assert abs(forces.std(ddof=1) - sigma) / sigma < 0.05
+        clean = generate_sweep(replace(cfg, noise_sigma_n=0.0)).force_n
+        residuals = generate_sweep(cfg).force_n - clean
+        assert len(residuals) == 10_000
+        assert abs(residuals.std(ddof=1) - sigma) / sigma < 0.05
 
     def test_noisy_fit_recovery(self):
         # sigma ~= 0.01 in loss space scaled to force units at mid sweep
@@ -199,9 +218,28 @@ class TestConfigValidation:
                        allow_extrapolation=True)
         message = "P*A overflows the float range: pressure 1000.0 kPa, area 1e+308 mm^2"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            RigConfig({"huge": spec}, SweepProtocol(1000.0, 1.0, 1000.0), noise_sigma_n=1e308)
+            RigConfig({"huge": spec}, SweepProtocol(stop_kpa=1000.0), noise_sigma_n=1e308)
 
     def test_default_sigma_is_one_percent_of_midrange_ideal(self):
         sigma = default_noise_sigma_n(GROUND_TRUTH, SweepProtocol())
         # mid-sweep pressure 32.5 kPa on the 1963.5 mm^2 family
         assert sigma == pytest.approx(0.01 * 32.5 * 1963.4954 / 1000.0, rel=1e-6)
+
+
+class TestConfigDigest:
+    def test_each_field_changes_the_digest(self):
+        assert {f.name for f in fields(RigConfig)} == {
+            "ground_truth", "protocol", "noise_sigma_n", "seed"}
+        base = make_cfg(protocol=SweepProtocol(stop_kpa=50.0), noise_sigma_n=0.5)
+        changed = [
+            # one shape's spec; a lower valid bound of 25 kPa also moves the rig's knee
+            replace(base, ground_truth={**GROUND_TRUTH,
+                                        "circle": valid_from(GROUND_TRUTH["circle"], 25.0)}),
+            replace(base, protocol=SweepProtocol(stop_kpa=55.0)),
+            replace(base, protocol=SweepProtocol(stop_kpa=50.0, trials=4)),
+            replace(base, noise_sigma_n=0.6),
+            replace(base, seed=1),
+        ]
+        digests = [_config_digest(cfg) for cfg in (base, *changed)]
+        assert len(set(digests)) == len(digests)
+        assert _config_digest(replace(base)) == digests[0]

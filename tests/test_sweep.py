@@ -15,6 +15,7 @@ from shellact.geometry import Circle, equal_area_family, ideal_force
 from shellact.loss import BALLOON_LOSS, balloon_spec, loss_fraction, predicted_force
 from shellact.rig import RigConfig, generate_sweep
 from shellact.sweep import (
+    RIG_CAP_KPA,
     SweepDataset,
     SweepProtocol,
     Violation,
@@ -83,21 +84,24 @@ class TestSweepProtocol:
         pressures = SweepProtocol().pressures()
         assert pressures == [5.0 * i for i in range(1, 13)]
 
-    def test_non_dividing_step_stops_at_or_below_stop(self):
-        assert SweepProtocol(5, 7, 60).pressures() == [5, 12, 19, 26, 33, 40, 47, 54]
+    def test_steps_stop_at_or_below_stop(self):
+        assert SweepProtocol(stop_kpa=50.0).pressures() == [5.0 * i for i in range(1, 11)]
+        assert SweepProtocol(stop_kpa=5.0).pressures() == [5.0]
+        assert SweepProtocol(stop_kpa=59.9).pressures() == [5.0 * i for i in range(1, 12)]
 
-    def test_float_step_reaches_stop(self):
-        assert len(SweepProtocol(0.1, 0.1, 0.3).pressures()) == 3
+    def test_fields_are_the_stop_and_the_trials(self):
+        # the repr reaches the measurement CSV's config digest
+        assert repr(SweepProtocol()) == "SweepProtocol(stop_kpa=60.0, trials=3)"
+        assert SweepProtocol().stop_kpa == RIG_CAP_KPA
 
     @pytest.mark.parametrize("fields, message", [
-        ({"step_kpa": 0.0}, "step_kpa must be > 0, got 0.0"),
-        ({"step_kpa": math.nan}, "step_kpa must be > 0, got nan"),
-        ({"start_kpa": 70.0}, "need 0 < start_kpa <= stop_kpa, got 70.0 and 60.0"),
         ({"trials": 0}, "trials must be >= 1, got 0"),
-        ({"step_kpa": math.inf}, "step_kpa must be finite, got inf"),
-        ({"stop_kpa": math.inf}, "stop_kpa must be finite, got inf"),
-        ({"start_kpa": math.inf, "stop_kpa": math.inf}, "start_kpa must be finite, got inf"),
-        ({"start_kpa": math.nan}, "start_kpa must be finite, got nan"),
+        ({"stop_kpa": math.nan}, "stop_kpa must be finite and >= 5.0, got nan"),
+        ({"stop_kpa": math.inf}, "stop_kpa must be finite and >= 5.0, got inf"),
+        ({"stop_kpa": -math.inf}, "stop_kpa must be finite and >= 5.0, got -inf"),
+        ({"stop_kpa": 4.9}, "stop_kpa must be finite and >= 5.0, got 4.9"),
+        ({"stop_kpa": 0.0}, "stop_kpa must be finite and >= 5.0, got 0.0"),
+        ({"stop_kpa": -60.0}, "stop_kpa must be finite and >= 5.0, got -60.0"),
     ])
     def test_bad_field_named_with_its_value(self, fields, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -215,9 +219,8 @@ def broken_sweep(kind):
         # two trial-1 rows and no trial 2: the row count matches the protocol
         rows = [(sid, p, 1 if (sid, p, t) == ("circle", 30.0, 2) else t, f)
                 for sid, p, t, f in rows]
-    else:
-        rows = [("c", 70.0, t, 50.0) for t in (1, 2, 3)]
-        protocol = SweepProtocol(start_kpa=70.0, stop_kpa=70.0)
+    else:  # one step past the cap, beyond the protocol's last
+        rows += [("circle", 70.0, t, 50.0) for t in (1, 2, 3)]
     return validate_sweep(dataset(rows).aggregates(), protocol)
 
 
@@ -247,7 +250,7 @@ class TestValidateSweep:
 
     def test_over_cap(self):
         assert Violation(
-            "over cap", "shape 'c' record at 70 kPa exceeds the 60 kPa cap"
+            "over cap", "shape 'circle' record at 70 kPa exceeds the 60 kPa cap"
         ) in broken_sweep("over cap")
 
     # `fit` prints each after "protocol violation: "; the text is part of the CLI's output
@@ -258,7 +261,7 @@ class TestValidateSweep:
          "trial count mismatch: shape 'circle' at 30 kPa has 2 trials, expected 3"),
         ("duplicate trial",
          "duplicate trial: shape 'circle' at 30 kPa has 3 rows but 2 distinct trial ids"),
-        ("over cap", "over cap: shape 'c' record at 70 kPa exceeds the 60 kPa cap"),
+        ("over cap", "over cap: shape 'circle' record at 70 kPa exceeds the 60 kPa cap"),
         ("unexpected step",
          "unexpected step: shape 'circle' has a 32.5 kPa record outside the protocol"),
     ])
