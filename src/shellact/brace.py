@@ -90,21 +90,25 @@ def corrective_moment(layout: BraceLayout, forces_n: dict) -> tuple:
 
     ``forces_n`` maps actuator id to force magnitude, a float or an array
     over time steps; inactive actuators must be present with 0. The sums
-    run in layout order from 0.0, so floats and arrays add up alike.
+    run in layout order from 0.0, so floats and arrays add up alike. A sum
+    past the float range is refused, not returned as inf or NaN.
     """
     missing = set(layout.by_id()) - set(forces_n)
     if missing:
         raise ValueError(f"forces missing for actuators: {sorted(missing)}")
     net = 0.0
     moment = 0.0
-    for placement in layout.actuators:
-        aid = placement.actuator_id
-        f = forces_n[aid]
-        reject(f, f < 0.0, "force magnitudes must be >= 0, got {} for {!r}", aid)
-        signed = placement.direction.value * f
-        net += signed
-        segment = -1.0 if placement.site is Site.SHANK else 1.0
-        moment += segment * signed * placement.lever_arm_m
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, for floats and arrays alike
+        for placement in layout.actuators:
+            aid = placement.actuator_id
+            f = forces_n[aid]
+            reject(f, f < 0.0, "force magnitudes must be >= 0, got {} for {!r}", aid)
+            signed = placement.direction.value * f
+            net += signed
+            segment = -1.0 if placement.site is Site.SHANK else 1.0
+            moment += segment * signed * placement.lever_arm_m
+    reject(moment, ~np.isfinite(net) | ~np.isfinite(moment), "net force or corrective moment "
+           "is past the float range (moment {} N*m): a lever_arm_m or a force is too large")
     return net, moment
 
 

@@ -10,9 +10,9 @@ Subcommands:
 Exit codes: 0 success; 1 when argv does not parse (an unknown or missing
 flag, or a value not of the flag's type); 2 when the program
 refuses a value, a file or a dataset. Only :func:`main` picks the code: the
-library raises ValueError naming the refused field and value. All CSV
-numbers are written with 4 decimal places so repeated runs are
-byte-comparable.
+library raises ValueError naming the refused field and value. CSV numbers
+are written with 4 decimal places, fit_report.csv's slope_per_kpa and
+intercept with 6, so repeated runs are byte-comparable.
 
 A start loads only the modules its subcommand runs: the package's modules
 are lazy module objects here, loaded on first attribute access. numpy runs
@@ -101,12 +101,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
         pressures = [float(tok) for tok in args.pressures.split(",") if tok.strip()]
     except ValueError as exc:
         raise _UsageError(f"bad --pressures value: {exc}") from exc
+    lo, hi = spec.loss_model.valid_range_kpa
     lines = ["pressure_kpa,ideal_force_n,predicted_force_n,loss_fraction,extrapolated"]
     for p in pressures:
         force = loss.predicted_force(p, spec)  # refuses a pressure past the actuator's max
         ideal = geometry.ideal_force(p, spec.cross_section)
-        lv = loss.loss_fraction(p, spec.loss_model)
-        lines.append(f"{_fmt(p)},{_fmt(ideal)},{_fmt(force)},{_fmt(lv.fraction)},{int(lv.extrapolated)}")
+        frac = loss.loss_fraction(p, spec.loss_model)
+        lines.append(f"{_fmt(p)},{_fmt(ideal)},{_fmt(force)},{_fmt(frac)},{int(not lo <= p <= hi)}")
     _emit(args.out, "predict.csv", lines)
     return EXIT_OK
 

@@ -5,15 +5,16 @@ scaled by ``1 - loss``, where the loss is a dimensionless fraction in
 [0, 1]. Two parametric loss curves are supported: a linear fit valid over
 the upper half of the pressure sweep (balloon prototype) and an
 exponentially decaying loss (molded actuator). Every evaluation takes a
-float or a numpy array of pressures. A pressure cap is each actuator's
+float or a numpy array of pressures and returns the same kind. A pressure
+outside a model's ``valid_range_kpa`` is evaluated all the same; ``predict``
+flags it in its ``extrapolated`` column. A pressure cap is each actuator's
 ``max_pressure_kpa``, checked where the actuator is driven (:func:`predicted_force`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, fields
 
 from ._lazy import np
 from .geometry import Circle, CrossSection, RoundedRectangle, _require_positive, ideal_force, reject
@@ -32,31 +33,35 @@ def _check_valid_range(range_kpa: tuple[float, float], name: str = "valid_range_
         raise ValueError(f"{name} must be finite with 0 <= lo < hi, got {range_kpa!r}")
 
 
+class _LossForm:
+    def __post_init__(self) -> None:
+        for f in fields(self)[:2]:  # the form's two parameters; a NaN or an inf hides in the clamp
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+        if getattr(self, "decay_per_kpa", 0.0) < 0.0:  # a rising exponential overflows math.exp
+            raise ValueError(f"decay_per_kpa must be >= 0, got {self.decay_per_kpa!r}")
+        _check_valid_range(self.valid_range_kpa)
+
+
 @dataclass(frozen=True)
-class LinearLoss:
+class LinearLoss(_LossForm):
     """loss(P) = clamp(slope*P + intercept, 0, 1)."""
 
     slope_per_kpa: float
     intercept: float
     valid_range_kpa: tuple[float, float] = (30.0, 60.0)
 
-    def __post_init__(self) -> None:
-        _check_valid_range(self.valid_range_kpa)
-
     def raw(self, pressure_kpa):
         return self.slope_per_kpa * pressure_kpa + self.intercept
 
 
 @dataclass(frozen=True)
-class ExponentialLoss:
+class ExponentialLoss(_LossForm):
     """loss(P) = clamp(amplitude * exp(-decay*P), 0, 1)."""
 
     amplitude: float
     decay_per_kpa: float
     valid_range_kpa: tuple[float, float] = (5.0, 50.0)
-
-    def __post_init__(self) -> None:
-        _check_valid_range(self.valid_range_kpa)
 
     def raw(self, pressure_kpa):
         return self.amplitude * _exp(-self.decay_per_kpa * pressure_kpa)
@@ -72,33 +77,17 @@ BALLOON_LOSS = LinearLoss(slope_per_kpa=-0.005, intercept=0.522)
 ENGINEERED_LOSS = ExponentialLoss(amplitude=0.9930, decay_per_kpa=0.0700)
 
 
-class LossValue(NamedTuple):
-    """Loss fraction plus out-of-validity-range flag, as floats or as arrays."""
-
-    fraction: float
-    extrapolated: bool
-
-
-def loss_fraction(pressure_kpa, model: LossModel) -> LossValue:
-    """Evaluate the loss fraction, clamped to [0, 1].
-
-    Pressures outside the model's validity range are evaluated anyway but
-    flagged as extrapolated.
-    """
+def loss_fraction(pressure_kpa, model: LossModel):
+    """The loss fraction clamped to [0, 1], also outside the model's validity range."""
     raw = model.raw(pressure_kpa)
     if getattr(raw, "ndim", 0):  # NaN clamps to 0.0, as with min/max below
-        fraction = np.where(raw > 0.0, np.where(raw < 1.0, raw, 1.0), 0.0)
-    else:
-        fraction = min(1.0, max(0.0, raw))
-    lo, hi = model.valid_range_kpa
-    inside = (lo <= pressure_kpa) & (pressure_kpa <= hi)
-    return LossValue(fraction, extrapolated=inside ^ True)  # ^ negates a bool and an array alike
+        return np.where(raw > 0.0, np.where(raw < 1.0, raw, 1.0), 0.0)
+    return min(1.0, max(0.0, raw))
 
 
-def efficiency(pressure_kpa, model: LossModel) -> LossValue:
-    """Complement of the loss fraction (1 - loss), same extrapolation flag."""
-    lv = loss_fraction(pressure_kpa, model)
-    return LossValue(1.0 - lv.fraction, lv.extrapolated)
+def efficiency(pressure_kpa, model: LossModel):
+    """Complement of the loss fraction: 1 - loss."""
+    return 1.0 - loss_fraction(pressure_kpa, model)
 
 
 @dataclass(frozen=True)
@@ -140,7 +129,7 @@ def predicted_force(pressure_kpa, spec: ActuatorSpec):
     cap = spec.max_pressure_kpa
     reject(pressure_kpa, pressure_kpa > cap, "pressure {} kPa exceeds actuator max {} kPa", cap)
     ideal = ideal_force(pressure_kpa, spec.cross_section)
-    return ideal * (1.0 - loss_fraction(pressure_kpa, spec.loss_model).fraction)
+    return ideal * (1.0 - loss_fraction(pressure_kpa, spec.loss_model))
 
 
 def loss_from_measurement(pressure_kpa, cs: CrossSection, measured_force_n):

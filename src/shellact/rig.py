@@ -80,11 +80,11 @@ def _config_digest(cfg: RigConfig) -> str:
 
 def true_loss(spec: ActuatorSpec, pressure_kpa):
     """The model's loss at a float or an array of pressures, blended linearly below the knee."""
-    model_loss = loss_fraction(pressure_kpa, spec.loss_model).fraction
+    model_loss = loss_fraction(pressure_kpa, spec.loss_model)
     knee, start = spec.loss_model.valid_range_kpa[0], PRE_KNEE_START_LOSS
     if knee <= STEP_KPA:
         return model_loss
-    knee_loss = loss_fraction(knee, spec.loss_model).fraction
+    knee_loss = loss_fraction(knee, spec.loss_model)
     blend = start + (knee_loss - start) * ((pressure_kpa - STEP_KPA) / (knee - STEP_KPA))
     return np.where(pressure_kpa >= knee, model_loss, blend)[()]
 

@@ -44,8 +44,9 @@ class SweepProtocol:
     trials: int = 3
 
     def __post_init__(self) -> None:
-        if not STEP_KPA <= self.stop_kpa < math.inf:  # NaN fails it too
-            raise ValueError(f"stop_kpa must be finite and >= {STEP_KPA}, got {self.stop_kpa!r}")
+        if not STEP_KPA <= self.stop_kpa <= RIG_CAP_KPA:  # NaN fails it too
+            raise ValueError(f"stop_kpa must be in [{STEP_KPA}, {RIG_CAP_KPA}] kPa, "
+                             f"got {self.stop_kpa!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials!r}")
 
@@ -262,7 +263,7 @@ def fit_linear_loss(
 def comparison_report(table: StepTable, shapes: dict[str, CrossSection], fitted: LossModel) -> str:
     """Comparison CSV text: ideal vs model-predicted vs mean measured force at every step."""
     ideal, loss = np.array(_step_losses(table, shapes)).reshape(-1, 2).T
-    frac = loss_fraction(table.pressure_kpa, fitted).fraction
+    frac = loss_fraction(table.pressure_kpa, fitted)
     numbers = (table.pressure_kpa, ideal, ideal * (1.0 - frac), table.mean_force_n, loss)
     ids = byte_rows([csv_field(shape_id) for shape_id in table.shape_id])
     return REPORT_HEADER + "\n" + join_rows([ids, *(fixed_text(c, 4) for c in numbers)])

@@ -44,14 +44,14 @@ def test_criterion_1_prediction_chain_endpoints():
 
 
 def test_criterion_2_efficiency_anchor():
-    eff = efficiency(60.0, balloon_spec().loss_model).fraction
+    eff = efficiency(60.0, balloon_spec().loss_model)
     report("criterion 2: efficiency 0.778 @ 60 kPa (within 0.01 of 77%)", abs(eff - 0.778) <= 0.01)
 
 
 def test_criterion_3_engineered_block_force():
     spec = engineered_spec()
     force = predicted_force(50.0, spec)
-    loss = loss_fraction(50.0, spec.loss_model).fraction
+    loss = loss_fraction(50.0, spec.loss_model)
     ok = abs(force - 113.7) <= 1.0 and force > 100.0 and abs(loss - 0.03) <= 0.001
     report("criterion 3: engineered actuator 113.7 +/- 1 N @ 50 kPa, 3% loss", ok)
 

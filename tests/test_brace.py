@@ -417,6 +417,23 @@ class TestArrayChecks:
             n_k, m_k = corrective_moment(layout, {a: float(f[k]) for a, f in forces.items()})
             assert (net[k], moment[k]) == (n_k, m_k)
 
+    # used to return -inf with a numpy RuntimeWarning, which simulate wrote into the trace
+    @pytest.mark.parametrize("forces", [120.0, np.array([0.0, 120.0])], ids=["float", "array"])
+    def test_moment_past_the_float_range_is_refused(self, forces):
+        layout = default_layout()
+        thigh_lateral = dataclasses.replace(layout.actuators[1], lever_arm_m=1e308)
+        layout = BraceLayout((layout.actuators[0], thigh_lateral, *layout.actuators[2:]))
+        message = (r"^net force or corrective moment is past the float range \(moment -inf N\*m\): "
+                   r"a lever_arm_m or a force is too large$")
+        with pytest.raises(ValueError, match=message):
+            corrective_moment(layout, {aid: forces for aid in layout.by_id()})
+
+    def test_net_force_past_the_float_range_is_refused(self):
+        layout = default_layout()
+        forces = {a.actuator_id: 1e308 if a.side is Side.MEDIAL else 0.0 for a in layout.actuators}
+        with pytest.raises(ValueError, match=r"^net force or corrective moment is past"):
+            corrective_moment(layout, forces)
+
     def test_tau_must_be_positive(self):
         with pytest.raises(ValueError):
             run_gait_cycle(default_layout(), default_valgus_schedule(), 1.2, 0.01, tau_s=0.0)

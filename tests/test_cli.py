@@ -156,6 +156,18 @@ class TestPredict:
         err = "error: pressure 61.0 kPa exceeds actuator max 60.0 kPa\n"
         assert capsys.readouterr() == ("", err)
 
+    def test_extrapolated_column_flags_pressures_outside_the_valid_range(self, tmp_path, capsys):
+        # the balloon model holds over [30, 60] kPa, both bounds included
+        assert run(["predict", "--pressures", "10,30,60"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[4] for row in rows] == ["1", "0", "0"]
+        spec_file = tmp_path / "spec.yaml"
+        spec_file.write_text("cross_section: {kind: circle, radius_mm: 25}\n"
+                             f"loss_model: {LINEAR_LOSS}\n"
+                             "max_pressure_kpa: 70\nallow_extrapolation: true\n")
+        assert run(["predict", "--spec", str(spec_file), "--pressures", "65"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[4] == "1"
+
     def test_zero_pressure_row(self, capsys):
         assert run(["predict", "--pressures", "0"]) == 0
         row = capsys.readouterr().out.splitlines()[1].split(",")
@@ -285,6 +297,13 @@ BAD_CONFIGS = {
         "phases:\n- {name: a, fraction: 0.5, pressures: {knee_medial: .nan}}\n"
         "- {name: b, fraction: 0.5}\n",
         "phase 'a' commands nan kPa on 'knee_medial'",
+    ),
+    # exp(20 * P) overflowed math.exp, and the error named neither the file nor the field
+    "negative_decay": (
+        "--spec",
+        "cross_section: {kind: circle, radius_mm: 25}\nloss_model: {form: exponential, "
+        "amplitude: 0.993, decay_per_kpa: -20, valid_range_kpa: [5, 50]}\nmax_pressure_kpa: 50\n",
+        "decay_per_kpa must be >= 0, got -20.0",
     ),
     # used to write nan in every moment_nm cell of the trace
     "nan_lever_arm": (
@@ -659,8 +678,9 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and message in err
 
-    # float(True) is 1.0, so a boolean used to read as the number 1 or 0
-    @pytest.mark.parametrize("value", [True, False])
+    # float(True) is 1.0, so a boolean used to read as the number 1 or 0; a NaN or an
+    # infinite loss parameter used to pass, and predict then printed a loss of 0 or 1
+    @pytest.mark.parametrize("value", [True, False, math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("flag, path", NUMERIC_LEAVES,
                              ids=[f"{flag[2:]}-" + ".".join(map(str, path))
                                   for flag, path in NUMERIC_LEAVES])
@@ -974,6 +994,17 @@ class TestSimulate:
         assert rc == 2
         assert capsys.readouterr().err == (f"error: {schedule_file}: phase 'hot' commands 55.0 kPa "
                                            "on 'knee_medial', outside [0, 50.0]\n")
+
+    def test_moment_past_the_float_range_exits_2_naming_lever_arm(self, tmp_path, capsys):
+        # used to exit 0 with a numpy RuntimeWarning and -inf in 708 rows of trace.csv
+        layout = layout_to_dict(default_layout())
+        layout["actuators"][1]["lever_arm_m"] = 1e308  # thigh_lateral, pressurised in stance
+        layout_file = tmp_path / "layout.yaml"
+        dump_yaml(layout, str(layout_file))
+        assert run(["simulate", "--layout", str(layout_file), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "lever_arm_m" in err
+        assert not (tmp_path / "out").exists()
 
     def test_simulation_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -23,34 +23,26 @@ from shellact.loss import (
 
 class TestLossFraction:
     def test_linear_at_sweep_endpoints(self):
-        assert loss_fraction(60.0, BALLOON_LOSS).fraction == pytest.approx(0.222)
-        assert loss_fraction(30.0, BALLOON_LOSS).fraction == pytest.approx(0.372)
+        assert loss_fraction(60.0, BALLOON_LOSS) == pytest.approx(0.222)
+        assert loss_fraction(30.0, BALLOON_LOSS) == pytest.approx(0.372)
 
     def test_exponential_anchors(self):
         # coefficients solved from loss(5) = 0.70 and loss(50) = 0.03
-        assert loss_fraction(50.0, ENGINEERED_LOSS).fraction == pytest.approx(0.030, abs=1e-3)
-        assert loss_fraction(5.0, ENGINEERED_LOSS).fraction == pytest.approx(0.70, abs=1e-3)
-
-    def test_extrapolation_flag(self):
-        assert not loss_fraction(45.0, BALLOON_LOSS).extrapolated
-        assert loss_fraction(10.0, BALLOON_LOSS).extrapolated
-        assert loss_fraction(60.5, BALLOON_LOSS).extrapolated
+        assert loss_fraction(50.0, ENGINEERED_LOSS) == pytest.approx(0.030, abs=1e-3)
+        assert loss_fraction(5.0, ENGINEERED_LOSS) == pytest.approx(0.70, abs=1e-3)
 
     def test_clamped_to_unit_interval(self):
         high = LinearLoss(0.1, 0.9, (0.0, 60.0))
-        assert loss_fraction(60.0, high).fraction == 1.0
+        assert loss_fraction(60.0, high) == 1.0
         falling = LinearLoss(-0.1, 0.5, (0.0, 60.0))
-        assert loss_fraction(60.0, falling).fraction == 0.0
+        assert loss_fraction(60.0, falling) == 0.0
 
     @given(st.floats(min_value=0.0, max_value=60.0))
     def test_efficiency_is_complement(self, p):
-        lv = loss_fraction(p, BALLOON_LOSS)
-        ev = efficiency(p, BALLOON_LOSS)
-        assert ev.fraction == pytest.approx(1.0 - lv.fraction)
-        assert ev.extrapolated == lv.extrapolated
+        assert efficiency(p, BALLOON_LOSS) == pytest.approx(1.0 - loss_fraction(p, BALLOON_LOSS))
 
     def test_efficiency_anchor_77_percent(self):
-        assert efficiency(60.0, BALLOON_LOSS).fraction == pytest.approx(0.778, abs=0.01)
+        assert efficiency(60.0, BALLOON_LOSS) == pytest.approx(0.778, abs=0.01)
 
 
 class TestPredictedForce:
@@ -124,13 +116,13 @@ class TestLossFromMeasurement:
     def test_round_trip_with_prediction(self, p):
         spec = balloon_spec()
         recovered = loss_from_measurement(p, spec.cross_section, predicted_force(p, spec))
-        assert abs(recovered - loss_fraction(p, spec.loss_model).fraction) < 1e-12
+        assert abs(recovered - loss_fraction(p, spec.loss_model)) < 1e-12
 
     @given(st.floats(min_value=5.0, max_value=50.0))
     def test_round_trip_exponential(self, p):
         spec = engineered_spec()
         recovered = loss_from_measurement(p, spec.cross_section, predicted_force(p, spec))
-        assert abs(recovered - loss_fraction(p, spec.loss_model).fraction) < 1e-12
+        assert abs(recovered - loss_fraction(p, spec.loss_model)) < 1e-12
 
 
 class TestActuatorSpec:
@@ -188,10 +180,8 @@ class TestArrayEvaluation:
     def test_loss_fraction_matches_scalar(self):
         grid = np.append(self.GRID, [-10.0, 500.0, math.nan])
         for model in (BALLOON_LOSS, ENGINEERED_LOSS):
-            lv = loss_fraction(grid, model)
             want = [loss_fraction(p, model) for p in grid.tolist()]
-            assert lv.fraction.tolist() == [w.fraction for w in want]
-            assert lv.extrapolated.tolist() == [w.extrapolated for w in want]
+            assert loss_fraction(grid, model).tolist() == want
 
     def test_over_pressure_names_first_offender(self):
         with pytest.raises(ValueError, match="pressure 61.5 kPa exceeds actuator max"):

@@ -83,7 +83,7 @@ class TestPreKneeRegime:
     def test_blend_endpoints(self):
         spec = GROUND_TRUTH["circle"]
         assert true_loss(spec, 5.0) == pytest.approx(0.70)
-        knee_loss = loss_fraction(30.0, spec.loss_model).fraction
+        knee_loss = loss_fraction(30.0, spec.loss_model)
         assert true_loss(spec, 30.0) == pytest.approx(knee_loss)
 
     def test_blend_is_monotone_down_to_knee(self):
@@ -105,7 +105,7 @@ class TestPreKneeRegime:
         assert true_loss(spec, np.array(pressures)).tolist() == losses
         assert all(type(loss) in (float, np.float64) for loss in losses)
         if knee <= 5.0:  # nothing to blend: the model's loss throughout
-            assert losses == [loss_fraction(p, spec.loss_model).fraction for p in pressures]
+            assert losses == [loss_fraction(p, spec.loss_model) for p in pressures]
 
 
 class TestColumns:
@@ -180,8 +180,9 @@ class TestProvenance:
 
 class TestConfigValidation:
     def test_protocol_beyond_actuator_cap(self):
-        with pytest.raises(ValueError):
-            make_cfg(protocol=SweepProtocol(stop_kpa=80.0))
+        message = "protocol stop 55.0 kPa exceeds max pressure of actuator 'eng'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_cfg(ground_truth={"eng": engineered_spec()}, protocol=SweepProtocol(stop_kpa=55.0))
 
     def test_negative_sigma(self):
         with pytest.raises(ValueError):
@@ -214,11 +215,9 @@ class TestConfigValidation:
 
     def test_ideal_force_past_the_float_range_is_refused(self):
         # P*A at stop_kpa overflows, so the config is refused before any sweep is drawn
-        spec = replace(engineered_spec(), cross_section=Square(1e154), max_pressure_kpa=1000.0,
-                       allow_extrapolation=True)
-        message = "P*A overflows the float range: pressure 1000.0 kPa, area 1e+308 mm^2"
+        message = "P*A overflows the float range: pressure 60.0 kPa, area 1e+308 mm^2"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            RigConfig({"huge": spec}, SweepProtocol(stop_kpa=1000.0), noise_sigma_n=1e308)
+            RigConfig({"huge": balloon_spec(Square(1e154))}, SweepProtocol(), noise_sigma_n=1e308)
 
     def test_default_sigma_is_one_percent_of_midrange_ideal(self):
         sigma = default_noise_sigma_n(GROUND_TRUTH, SweepProtocol())
