@@ -245,15 +245,11 @@ def default_valgus_schedule() -> GaitSchedule:
     (medial knee vs lateral thigh and shank) engaged through stance.
     """
     trio = ("knee_medial", "thigh_lateral", "shank_lateral")
-
-    def at(p: float) -> dict[str, float]:
-        return {aid: p for aid in trio}
-
     return GaitSchedule(
         (
-            GaitPhase("heel_strike", 0.10, at(30.0)),
-            GaitPhase("mid_stance", 0.30, at(50.0)),
-            GaitPhase("toe_off", 0.20, at(40.0)),
+            GaitPhase("heel_strike", 0.10, dict.fromkeys(trio, 30.0)),
+            GaitPhase("mid_stance", 0.30, dict.fromkeys(trio, 50.0)),
+            GaitPhase("toe_off", 0.20, dict.fromkeys(trio, 40.0)),
             GaitPhase("swing", 0.40, {}),
         )
     )

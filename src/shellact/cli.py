@@ -17,12 +17,16 @@ intercept with 6, so repeated runs are byte-comparable.
 A start loads only the modules its subcommand runs: the package's modules
 are lazy module objects here, loaded on first attribute access. numpy runs
 with one OpenBLAS thread unless the caller sets OPENBLAS_NUM_THREADS: no
-subcommand calls BLAS, and an idle thread pool slows numpy's start.
+subcommand calls BLAS, and an idle thread pool slows numpy's start. ``main()``
+reads sys.argv and ends its process: at exit it freezes the heap (gc.freeze)
+rather than collect what the OS frees. ``main(argv)`` exits normally.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import os
 import sys
 
@@ -236,6 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read as numpy loads; no subcommand calls BLAS
+    if argv is None:  # a console run; its files are closed and stdout is flushed before exit's gc
+        atexit.register(gc.freeze)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

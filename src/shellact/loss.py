@@ -41,6 +41,9 @@ class _LossForm:
         if getattr(self, "decay_per_kpa", 0.0) < 0.0:  # a rising exponential overflows math.exp
             raise ValueError(f"decay_per_kpa must be >= 0, got {self.decay_per_kpa!r}")
         _check_valid_range(self.valid_range_kpa)
+        ends = tuple(self.raw(p) for p in self.valid_range_kpa)  # both forms are monotone in P
+        if max(ends) < 0.0:  # below 0 over the range, which the clamp reads as no loss anywhere
+            raise ValueError(f"loss is below 0 over valid_range_kpa {self.valid_range_kpa!r}: {ends!r}")
 
 
 @dataclass(frozen=True)

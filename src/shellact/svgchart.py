@@ -14,8 +14,6 @@ which UTF-8 never contains, marks padding, so a NUL byte of a text is kept.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import sys
 
@@ -49,11 +47,8 @@ def _ticks(lo: float, hi: float) -> list[float]:
 
 
 def csv_field(text: str) -> str:
-    """``text`` as csv.writer writes it inside a row of several fields."""
-    buf = io.StringIO()
-    # the writer quotes a field holding a terminator character: a bare CR as well as LF
-    csv.writer(buf, lineterminator="\r\n").writerow([text, ""])
-    return buf.getvalue()[:-3]
+    """``text`` as csv.writer's QUOTE_MINIMAL writes it: quoted if it holds , " CR or LF."""
+    return '"{}"'.format(text.replace('"', '""')) if any(c in text for c in ',"\r\n') else text
 
 
 def byte_rows(texts: list[str], width: int = 0) -> np.ndarray:

@@ -305,6 +305,13 @@ BAD_CONFIGS = {
         "amplitude: 0.993, decay_per_kpa: -20, valid_range_kpa: [5, 50]}\nmax_pressure_kpa: 50\n",
         "decay_per_kpa must be >= 0, got -20.0",
     ),
+    # the clamp read this curve as no loss, so predict printed force = P*A and exited 0
+    "loss_below_zero": (
+        "--spec",
+        "cross_section: {kind: circle, radius_mm: 25}\nloss_model: {form: exponential, "
+        "amplitude: -0.5, decay_per_kpa: 0.07, valid_range_kpa: [5, 50]}\nmax_pressure_kpa: 50\n",
+        "loss is below 0 over valid_range_kpa (5.0, 50.0): (-0.35",
+    ),
     # used to write nan in every moment_nm cell of the trace
     "nan_lever_arm": (
         "--layout",

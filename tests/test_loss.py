@@ -157,6 +157,17 @@ class TestActuatorSpec:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             LinearLoss(-0.005, 0.522, valid_range)
 
+    # the clamp read such a curve as no loss at every pressure, so predict printed force = P*A
+    @pytest.mark.parametrize("form, params, ends", [
+        (LinearLoss, (-0.005, 0.1, (30.0, 60.0)), (-0.005 * 30.0 + 0.1, -0.005 * 60.0 + 0.1)),
+        (ExponentialLoss, (-0.5, 0.07, (5.0, 50.0)),
+         (-0.5 * math.exp(-0.07 * 5.0), -0.5 * math.exp(-0.07 * 50.0))),
+    ], ids=["linear", "exponential"])
+    def test_loss_below_zero_over_the_valid_range_is_refused(self, form, params, ends):
+        message = f"loss is below 0 over valid_range_kpa {params[2]!r}: {ends!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            form(*params)
+
     def test_engineered_defaults(self):
         spec = engineered_spec()
         assert isinstance(spec.cross_section, RoundedRectangle)

@@ -1,10 +1,11 @@
-"""What a CLI start imports.
+"""What a CLI start imports, and how a console run exits.
 
 numpy and yaml load on first use, so ``geometry`` and ``predict`` run
 without numpy and runs without YAML input run without yaml. The package's
 own modules load on first use too, so a start executes only the modules
-its subcommand runs. This test process has numpy imported already, so each
-check starts a fresh interpreter.
+its subcommand runs. A console run, ``main()`` reading sys.argv, freezes
+the heap at exit and still writes the golden files. This test process has
+numpy imported already, so each check starts a fresh interpreter.
 """
 
 import os
@@ -20,6 +21,7 @@ import shellact.cli
 from shellact.cli import main
 from shellact.geometry import equal_area_family
 from config_writer import cross_section_to_dict, dump_yaml
+from test_golden import FIT, GENERATE, SIMULATE_10_CYCLES, digests
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 LAYERS = ("cli", "brace", "configio", "loss", "rig", "sweep")
@@ -53,16 +55,21 @@ def fresh_run(*argv, code="print(main(sys.argv[1:]))", head="from shellact.cli i
     ``env`` with this package's source on the path.
     """
     probe = f"import sys\n{head}\n{code}\nprint(*sorted(sys.modules))\n"
+    *_, last, modules = child(probe, *argv, env=env).splitlines()
+    return last, set(modules.split())
+
+
+def child(code, *argv, env=os.environ):
+    """Standard output of ``python -c code argv``, run with this package's source on the path."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", probe, *map(str, argv)],
+        [sys.executable, "-c", code, *map(str, argv)],
         capture_output=True,
         text=True,
         env={**env, "PYTHONPATH": path},
         check=True,
     )
-    *_, last, modules = proc.stdout.splitlines()
-    return last, set(modules.split())
+    return proc.stdout
 
 
 def executed(*argv):
@@ -188,3 +195,33 @@ def test_subcommand_skips_the_modules_it_does_not_run(argv, skipped, unimported,
     assert not own & skipped
     assert skipped <= modules  # still registered, so the bench finds them
     assert not unimported & modules
+
+
+# An exit handler registered before main runs after any that main registers.
+FREEZE_PROBE = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+    "from shellact.cli import main\n"
+)
+
+
+def test_only_a_run_that_reads_sys_argv_freezes_the_heap_at_exit():
+    argv = ["geometry", "--radius", "25"]
+    console = child(FREEZE_PROBE + "sys.exit(main())", *argv).splitlines()[-1].split()
+    assert console[0] == "frozen" and int(console[1]) > 0
+    in_process = child(FREEZE_PROBE + "sys.exit(main(sys.argv[1:]))", *argv).splitlines()[-1]
+    assert in_process == "frozen 0"
+
+
+CONSOLE_RUN = "import sys\nfrom shellact.cli import main\nsys.exit(main())"
+
+
+def test_a_frozen_exit_writes_the_golden_artifacts(tmp_path, capsys):
+    argv = ["simulate", "--dt", "0.001", "--cycles", "10", "--out", tmp_path / "sim"]
+    stdout = child(CONSOLE_RUN, *argv)
+    assert digests(tmp_path / "sim", SIMULATE_10_CYCLES) == SIMULATE_10_CYCLES
+    assert main(list(map(str, argv))) == 0
+    assert stdout == capsys.readouterr().out and stdout.startswith("steps: 12000\n")
+    child(CONSOLE_RUN, "generate", "--out", tmp_path)
+    child(CONSOLE_RUN, "fit", "--input", tmp_path / "measurements.csv", "--out", tmp_path)
+    assert digests(tmp_path, {**GENERATE, **FIT}) == {**GENERATE, **FIT}

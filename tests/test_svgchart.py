@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import os
 import subprocess
@@ -12,7 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shellact.svgchart import _escape, byte_rows, fixed_text, join_rows, line_chart_svg, text_table
+from shellact.svgchart import (
+    _escape, byte_rows, csv_field, fixed_text, join_rows, line_chart_svg, text_table
+)
 
 
 def reference_polylines(series):
@@ -207,3 +211,24 @@ class TestFixedText:
     def test_text_with_nul_and_multibyte_bytes(self):
         table = byte_rows(["a\x00b", "é", "", "a,b"])
         assert join_rows([table, table[::-1]]) == "a\x00b,a,b\né,\n,é\na,b,a\x00b\n"
+
+
+def csv_writer_field(text):
+    """``text`` as csv.writer writes it inside a row of several fields, terminated by CRLF."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow([text, ""])
+    return buf.getvalue()[:-3]
+
+
+class TestCsvField:
+    @pytest.mark.parametrize("text, expected", [
+        ("circle", "circle"), ("", ""), ("a,b", '"a,b"'), ('q"x', '"q""x"'),
+        ("a\rb", '"a\rb"'), ("a\nb", '"a\nb"'), ("a b\tc\x85", "a b\tc\x85"),
+    ])
+    def test_quotes_only_what_needs_it(self, text, expected):
+        assert csv_field(text) == expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(st.sampled_from(',"\r\n\x00\x85é \t') | st.characters(), max_size=12))
+    def test_equals_the_csv_writer(self, text):
+        assert csv_field(text) == csv_writer_field(text)
