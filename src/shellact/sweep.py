@@ -1,4 +1,4 @@
-"""Pressure-sweep datasets: ingestion, aggregation, loss fitting, reports.
+"""Pressure-sweep datasets: CSV I/O, aggregation, loss fitting, reports.
 
 A sweep dataset holds repeated force measurements per (shape, pressure)
 step as columns: one array per field over all rows, with shape ids stored
@@ -6,20 +6,19 @@ once and referenced by an integer code per row. Aggregation takes rows
 already in step order as they are and sorts any others into a columnar
 step table; validation, the loss series and the comparison CSV all take
 that one table. The measurement CSV reader parses a binary stream with
-np.loadtxt 4,096 rows at a time, coding each run of equal shape ids once;
-the writer and least-squares fitting of the linear loss also live here.
+one np.loadtxt call, 4,096 rows at a time, coding each run of equal shape
+ids once; a refused row's line is found by the same call, counting lines.
 """
 
 from __future__ import annotations
 
 import codecs
-import csv
 import io
 import math
 import warnings
 from dataclasses import dataclass
 from itertools import islice
-from typing import BinaryIO, NamedTuple
+from typing import BinaryIO, Iterable, NamedTuple, TextIO
 
 from ._lazy import np
 from .geometry import CrossSection, ideal_force, reject
@@ -292,27 +291,29 @@ def _utf8(latin1: str) -> str:
     return latin1.encode("latin-1").decode("utf-8")
 
 
-def _row_error(binary: BinaryIO, head: int, exc: Exception) -> ValueError:
-    """The first row after the ``head`` lines of ``binary`` that the reader refuses, by its line."""
-    limit = csv.field_size_limit(binary.seek(0, io.SEEK_END))  # loadtxt reads a field of any length
-    binary.seek(0)
-    lines = io.TextIOWrapper(binary, encoding="latin-1", newline="")
-    reader = csv.reader(map(_utf8, islice(lines, head, None)))
+def _load_rows(lines: Iterable[str], dtype: str = "O,f8,i8,f8") -> np.ndarray:
+    """Up to _CHUNK_ROWS more rows of ``lines`` as ``dtype``; a refused row raises ValueError."""
+    with warnings.catch_warnings():  # loadtxt warns of blank lines and of an empty body
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"',
+                          comments=None, ndmin=1, max_rows=_CHUNK_ROWS)
+
+
+def _row_error(lines: TextIO, head: int, exc: Exception) -> ValueError:
+    """The first row after the ``head`` lines of ``lines`` that the reader refuses, by its line.
+
+    _load_rows reads the body again, each line numbered and UTF-8 checked as it is taken;
+    loadtxt converts each row before it takes the next line, so the last line taken is refused.
+    """
+    lines.seek(0)
+    taken = [head]  # the number of the last line taken; a line is never "", so _utf8 only checks
+    rows = (_utf8(text) and text for taken[0], text in enumerate(islice(lines, head, None), head + 1))
     try:
-        for row in filter(None, reader):
-            if len(row) != len(MEASUREMENT_HEADER):
-                raise ValueError(f"expected {len(MEASUREMENT_HEADER)} fields, got {len(row)}")
-            for field, kind in zip(row[1:], (float, np.int64, float)):
-                # unlike Python, loadtxt refuses '_' and non-ASCII text, and strips \x1c-\x1f
-                if "_" in field or not field.isascii():
-                    raise ValueError(f"could not convert string to {kind.__name__}: {field!r}")
-                kind(field.strip())  # np.int64 parses as int() does, within the int64 range
-    except (ValueError, OverflowError, csv.Error) as bad:  # bad UTF-8 is in the line not yet read
-        line = head + reader.line_num + isinstance(bad, UnicodeDecodeError)
-        return ValueError(f"measurement CSV line {line}: {bad}")
-    finally:
-        csv.field_size_limit(limit)  # the limit is process-wide
-        lines.detach()  # leave the caller's stream open
+        while len(_load_rows(rows)) == _CHUNK_ROWS:
+            pass
+    except ValueError as bad:  # "at row N" counts from the chunk; the value's cut may split UTF-8
+        text = str(bad).rsplit(" at row ", 1)[0].encode("latin-1").decode("utf-8", "replace")
+        return ValueError(f"measurement CSV line {taken[0]}: {text}")
     return ValueError(f"bad measurement CSV: {exc}")
 
 
@@ -335,29 +336,26 @@ def read_measurements_csv(binary: BinaryIO) -> SweepDataset:
                 break
         else:
             raise ValueError("empty measurement CSV")
-        header = next(csv.reader([line]))
+        header = _load_rows([line], "O").tolist()  # read as the rows are, as text
         if header != MEASUREMENT_HEADER:
             raise ValueError(f"bad measurement header {header!r}, expected {MEASUREMENT_HEADER!r}")
         codes: dict[str, int] = {}  # each shape id numbered as first seen
         parts: list[tuple[np.ndarray, ...]] = []
         try:
-            with warnings.catch_warnings():  # loadtxt warns of blank lines and of an empty body
-                warnings.simplefilter("ignore", UserWarning)
-                while not parts or len(parts[-1][0]) == _CHUNK_ROWS:
-                    rows = np.loadtxt(stream, dtype="O,f8,i8,f8", delimiter=",", quotechar='"',
-                                      comments=None, ndmin=1, max_rows=_CHUNK_ROWS)
-                    names = rows["f0"]
-                    new_run = np.ones(len(names), bool)  # the first row of each run of one id
-                    new_run[1:] = names[1:] != names[:-1]
-                    runs = np.flatnonzero(new_run)
-                    code = [codes.setdefault(name, len(codes)) for name in names[runs].tolist()]
-                    parts.append((np.array(code, np.intp).repeat(np.diff(runs, append=len(names))),
-                                  *(rows[f].copy() for f in ("f1", "f2", "f3"))))
+            while not parts or len(parts[-1][0]) == _CHUNK_ROWS:
+                rows = _load_rows(stream)
+                names = rows["f0"]
+                new_run = np.ones(len(names), bool)  # the first row of each run of one id
+                new_run[1:] = names[1:] != names[:-1]
+                runs = np.flatnonzero(new_run)
+                code = [codes.setdefault(name, len(codes)) for name in names[runs].tolist()]
+                parts.append((np.array(code, np.intp).repeat(np.diff(runs, append=len(names))),
+                              *(rows[f].copy() for f in ("f1", "f2", "f3"))))
             binary.seek(0)  # loadtxt takes a lone byte \x85 or \xa0 beside a number for a space
             for _ in codecs.iterdecode(iter(lambda: binary.read(1 << 16), b""), "utf-8"):
                 pass
         except ValueError as exc:
-            raise _row_error(binary, head, exc) from None
+            raise _row_error(stream, head, exc) from None
     except UnicodeDecodeError as exc:  # before the body: the body's are row errors above
         raise ValueError(f"measurement CSV line {head + 1}: {exc}") from None
     finally:

